@@ -47,13 +47,43 @@ from .sequential import SequentialGame, spe_solve, spoa
 __all__ = ["main", "run_cli"]
 
 
+def _budget(text: str) -> int:
+    try:
+        return int(float(text))
+    except (ValueError, OverflowError):
+        raise ValueError(f"invalid budget {text!r}: expected a number") from None
+
+
 def _default_budget() -> int:
     raw = os.environ.get("CAG_BUDGET")
-    return int(float(raw)) if raw else DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        return _budget(raw)
+    except ValueError as exc:
+        raise ValueError(f"CAG_BUDGET: {exc}") from None
 
 
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
+
+
+def _checked(inst):
+    """The instance itself, or ValueError naming every invariant it breaks."""
+    errors = validate_instance(inst).errors
+    if errors:
+        raise ValueError("; ".join(errors))
+    return inst
+
+
+def _load_instance(path: str):
+    return _checked(io.loads_instance(_read(path)))
+
+
+def _load_game(path: str) -> SequentialGame:
+    game = io.loads_game(_read(path))
+    _checked(game.instance)
+    return game
 
 
 def _emit(args, text: str) -> None:
@@ -102,7 +132,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    inst = io.loads_instance(_read(args.instance))
+    inst = _load_instance(args.instance)
     profile = _profile_arg(args.profile)
     flags = classify_symmetry(inst)
     data = {
@@ -123,7 +153,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_potential(args) -> int:
-    inst = io.loads_instance(_read(args.instance))
+    inst = _load_instance(args.instance)
     profile = _profile_arg(args.profile)
     if args.kind == "rosenthal":
         value = io.rational_str(rosenthal_potential(inst, profile))
@@ -136,7 +166,7 @@ def _cmd_potential(args) -> int:
 
 
 def _cmd_dynamics(args) -> int:
-    inst = io.loads_instance(_read(args.instance))
+    inst = _load_instance(args.instance)
     start = (
         _profile_arg(args.start)
         if args.start
@@ -158,21 +188,21 @@ def _cmd_dynamics(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    inst = io.loads_instance(_read(args.instance))
+    inst = _load_instance(args.instance)
     report = analyze(inst, budget=args.budget, jobs=args.jobs)
     _emit(args, io.dumps_report(report))
     return 0
 
 
 def _cmd_spe(args) -> int:
-    game = io.loads_game(_read(args.game))
+    game = _load_game(args.game)
     result = spe_solve(game, mode=args.mode, budget=args.budget)
     _emit(args, io.dumps_spe_result(result))
     return 0
 
 
 def _cmd_spoa(args) -> int:
-    game = io.loads_game(_read(args.game))
+    game = _load_game(args.game)
     value = spoa(game, budget=args.budget)
     _emit(args, json.dumps(io.rational_str(value)) + "\n")
     return 0
@@ -276,7 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = with_output(sub.add_parser("analyze", help="equilibrium report"))
     p.add_argument("instance")
-    p.add_argument("--budget", type=lambda s: int(float(s)), default=None)
+    p.add_argument("--budget", type=_budget, default=None)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_analyze)
 
@@ -285,13 +315,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mode", choices=("deterministic", "exhaustive"), default="deterministic"
     )
-    p.add_argument("--budget", type=lambda s: int(float(s)), default=None)
+    p.add_argument("--budget", type=_budget, default=None)
     p.set_defaults(func=_cmd_spe)
 
     p = with_output(sub.add_parser("spoa", help="sequential price of anarchy"))
     p.add_argument("game")
     p.add_argument("--mode", choices=("exhaustive",), default="exhaustive")
-    p.add_argument("--budget", type=lambda s: int(float(s)), default=None)
+    p.add_argument("--budget", type=_budget, default=None)
     p.set_defaults(func=_cmd_spoa)
 
     p = with_output(
@@ -340,9 +370,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def run_cli(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "budget", None) is None and hasattr(args, "budget"):
-        args.budget = _default_budget()
     try:
+        if getattr(args, "budget", None) is None and hasattr(args, "budget"):
+            args.budget = _default_budget()
         return args.func(args)
     except (BudgetError, NoEquilibriumError) as exc:
         print(f"cag: {exc}", file=sys.stderr)

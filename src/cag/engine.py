@@ -1,17 +1,22 @@
 """Scaled-integer evaluation engine shared by search, dynamics, and solvers.
 
-Every load a node can take is a subset sum of agent weights, bounded by the
-node's "potential load" (the total weight of agents that could ever attract
-it).  Multiplying all utilities by ``lcm(1..max_potential_load)`` therefore
-turns them into plain integers, which makes exhaustive scans and backward
-induction an order of magnitude faster than `Fraction` arithmetic while
-staying exact.  `Fraction` values are recovered at the API boundary.
+Every load a node can take is a subset sum of the weights of the agents that
+could ever attract it.  The engine collects those reachable loads per node
+as a bitset (bit ``c`` set iff load ``c`` is reachable) and multiplies all
+utilities by the lcm of the reachable loads, which turns them into plain
+integers.  Exhaustive scans and backward induction then run an order of
+magnitude faster than with `Fraction` arithmetic while staying exact.  For
+unit-weight instances every load ``1..m`` is reachable, so the denominator
+is ``lcm(1..m)``; with weights it stays small where ``lcm(1..total weight)``
+would grow exponentially.  `Fraction` values are recovered at the API
+boundary.
 
 The engine is read-only after construction and safe to share.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import lcm
 
@@ -34,21 +39,34 @@ class Evaluator:
             [frozenset(s) for s in a.strategies] for a in inst.agents
         ]
 
-        potential = [0] * self.num_nodes
+        # reach[j]: bit c set iff some set of j's potential attractors weighs c
+        reach = [1] * self.num_nodes
         for a in inst.agents:
-            attracted: set[int] = set()
-            for s in a.strategies:
-                attracted.update(s)
-            for j in attracted:
-                potential[j] += a.weight
-        self.max_load = max(potential, default=0) or 1
-        self.den = lcm(*range(1, self.max_load + 1))
-        # share[c] = den / c, so w * v * share[c] is the scaled utility term
-        self.share = [0] + [self.den // c for c in range(1, self.max_load + 1)]
-        # harmonic[k] = den * (1 + 1/2 + ... + 1/k)
-        self.harmonic = [0] * (self.max_load + 1)
-        for k in range(1, self.max_load + 1):
-            self.harmonic[k] = self.harmonic[k - 1] + self.share[k]
+            w = a.weight
+            for j in set().union(*a.strategies):
+                reach[j] |= reach[j] << w
+        union = 0
+        for r in reach:
+            union |= r
+        # bits[c] == "1" iff load c is reachable; str.find keeps the scan
+        # linear in the bit length, which runs to millions for large weights
+        bits = bin(union)[:1:-1]
+        reachable = []
+        c = bits.find("1", 1)
+        while c > 0:
+            reachable.append(c)
+            c = bits.find("1", c + 1)
+        self.den = lcm(*reachable)
+        # share[c] = den / c at reachable loads (0 elsewhere), so
+        # w * v * share[c] is the scaled utility term
+        self.share = [0] * len(bits)
+        for c in reachable:
+            self.share[c] = self.den // c
+        # harmonic[k] = den * (1 + 1/2 + ... + 1/k); only unit-weight loads
+        # count agents, and only there is every load 1..max reachable
+        self.harmonic = None
+        if all(w == 1 for w in self.weights):
+            self.harmonic = list(itertools.accumulate(self.share))
         # per (agent, strategy): (node, weight * value) pairs for fast sums
         self.terms = [
             [
@@ -106,10 +124,15 @@ class Evaluator:
         return sum(values[j] for j, c in enumerate(loads) if c > 0)
 
     def potential_scaled(self, loads) -> int:
-        """Scaled value-weighted harmonic potential; meaningful for
+        """Scaled value-weighted harmonic potential; defined only for
         unit-weight instances, where loads count attracting agents."""
-        values = self.values
         harmonic = self.harmonic
+        if harmonic is None:
+            raise ValueError(
+                "weighted-agents-unsupported: the harmonic potential is exact "
+                "only when every agent has unit weight"
+            )
+        values = self.values
         return sum(values[j] * harmonic[c] for j, c in enumerate(loads) if c > 0)
 
     def best_deviation(self, choices, loads, agent: int) -> tuple[int, int]:

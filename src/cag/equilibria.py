@@ -94,9 +94,8 @@ def _profiles(ev: Evaluator, start: int = 0, stop: int | None = None):
         yield tuple(reversed(choices))
 
 
-def _scan(inst: Instance, start: int, stop: int | None):
+def _scan(ev: Evaluator, start: int, stop: int | None):
     """One enumeration pass: equilibria plus the welfare optimum."""
-    ev = Evaluator(inst)
     pne: list[tuple[int, ...]] = []
     best_welfare = -1
     best_profile: tuple[int, ...] | None = None
@@ -119,6 +118,7 @@ def analyze(
     optimal welfare with a lexicographically-first witness, and the price of
     anarchy against the worst equilibrium."""
     size = _check_budget(inst, budget)
+    ev = Evaluator(inst)
     if jobs > 1 and size > 4 * jobs:
         bounds = [(size * k) // jobs for k in range(jobs + 1)]
         chunks = [(inst, bounds[k], bounds[k + 1]) for k in range(jobs)]
@@ -131,11 +131,10 @@ def analyze(
                 best_welfare, best_profile = welfare, profile
         scanned = sum(part[3] for part in parts)
     else:
-        pne, best_welfare, best_profile, scanned = _scan(inst, 0, None)
+        pne, best_welfare, best_profile, scanned = _scan(ev, 0, None)
     pne.sort()
     ratio = None
     if pne:
-        ev = Evaluator(inst)
         worst = min(ev.welfare(ev.loads(choices)) for choices in pne)
         ratio = Fraction(best_welfare, worst)
     return EquilibriumReport(
@@ -149,7 +148,7 @@ def analyze(
 
 def _scan_chunk(chunk):
     inst, start, stop = chunk
-    return _scan(inst, start, stop)
+    return _scan(Evaluator(inst), start, stop)
 
 
 def enumerate_pne(

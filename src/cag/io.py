@@ -101,6 +101,14 @@ def loads_instance(text: str) -> Instance:
     return _instance_from_dict(_json(text), text)
 
 
+def _positive_int(value, what: str) -> int:
+    """`value` itself if it is a positive int; floats, strings and bools are
+    rejected rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
 def _instance_from_dict(data: dict, text: str) -> Instance:
     nodes = []
     index: dict[str, int] = {}
@@ -112,7 +120,8 @@ def _instance_from_dict(data: dict, text: str) -> Instance:
                 f"(line {_definition_line(text, node_id)})"
             )
         index[node_id] = len(nodes)
-        nodes.append(Node(node_id, int(entry["value"])))
+        value = _positive_int(entry["value"], f"node {node_id!r}: value")
+        nodes.append(Node(node_id, value))
 
     agents = []
     seen: set[str] = set()
@@ -138,7 +147,8 @@ def _instance_from_dict(data: dict, text: str) -> Instance:
                     f"agent {agent_id!r}: duplicate node in strategy {strategy}"
                 )
             strategies.append(tuple(sorted(refs)))
-        agents.append(Agent(agent_id, int(entry["weight"]), tuple(strategies)))
+        weight = _positive_int(entry["weight"], f"agent {agent_id!r}: weight")
+        agents.append(Agent(agent_id, weight, tuple(strategies)))
     return Instance(tuple(nodes), tuple(agents))
 
 

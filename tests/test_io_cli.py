@@ -254,6 +254,60 @@ def test_cli_budget_env(example1_file, monkeypatch, capsys):
     assert "search-space-too-large" in capsys.readouterr().err
 
 
+def _single_error_line(capsys) -> str:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cag: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize("value", ["abc", "inf", "nan"])
+def test_cli_bad_budget_env_is_input_error(example1_file, monkeypatch, capsys, value):
+    monkeypatch.setenv("CAG_BUDGET", value)
+    assert run_cli(["analyze", str(example1_file)]) == 2
+    assert "CAG_BUDGET" in _single_error_line(capsys)
+
+
+def _one_node_instance(weight=1, value=1, strategies=(("q1",),)) -> str:
+    return json.dumps(
+        {
+            "nodes": [{"id": "q1", "value": value}],
+            "agents": [
+                {"id": "a1", "weight": weight, "strategies": list(strategies)}
+            ],
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "field, bad", [("weight", w) for w in (1.5, 0, -1, True, "2")]
+    + [("value", v) for v in (1.5, 0, -3, False)],
+)
+def test_cli_rejects_non_positive_integer_fields(tmp_path, capsys, field, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(_one_node_instance(**{field: bad}))
+    assert run_cli(["analyze", str(path)]) == 2
+    assert f"{field} must be a positive integer" in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["analyze"],
+        ["spe"],
+        ["spoa"],
+        ["dynamics"],
+        ["potential", "--profile", "0"],
+        ["eval", "--profile", "0"],
+    ],
+    ids=lambda command: command[0],
+)
+def test_cli_rejects_empty_strategy_space(tmp_path, capsys, command):
+    path = tmp_path / "bad.json"
+    path.write_text(_one_node_instance(strategies=()))
+    assert run_cli([command[0], str(path), *command[1:]]) == 2
+    assert "empty strategy space" in _single_error_line(capsys)
+
+
 def test_cli_missing_file_is_input_error(capsys):
     assert run_cli(["analyze", "/nonexistent/file.json"]) == 2
 

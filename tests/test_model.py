@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +17,7 @@ from cag import (
 from cag.engine import Evaluator
 from cag.model import scale_values
 
-from conftest import instances_with_profiles
+from conftest import instances, instances_with_profiles
 
 
 def test_load_counts_attracting_weight(example1):
@@ -143,7 +144,10 @@ def test_utilities_sum_to_welfare(case):
     assert total == social_welfare(inst, profile)
 
 
-@given(instances_with_profiles())
+# large weights make reachable loads sparse, so den is far below lcm(1..max)
+@given(
+    st.one_of(instances_with_profiles(), instances_with_profiles(max_weight=10**6))
+)
 def test_engine_matches_definitions(case):
     inst, profile = case
     ev = Evaluator(inst)
@@ -155,6 +159,34 @@ def test_engine_matches_definitions(case):
             inst, profile, i
         )
     assert ev.welfare(loads) == social_welfare(inst, profile)
+
+
+@given(instances(max_weight=1, max_agents=6))
+def test_unit_weight_denominator_is_lcm_up_to_max_potential_load(inst):
+    potential = [
+        sum(any(j in s for s in a.strategies) for a in inst.agents)
+        for j in range(inst.num_nodes)
+    ]
+    assert Evaluator(inst).den == lcm(*range(1, max(potential) + 1))
+
+
+def test_denominator_stays_small_for_large_weights():
+    # reachable loads are {W, W + 1, 2W + 1}, while lcm(1..2W + 1) has
+    # about 57,700 bits
+    w = 20_000
+    inst = Instance.build(
+        nodes=[("q1", 3), ("q2", 2)],
+        agents=[("a1", w, [[0], [1]]), ("a2", w + 1, [[0], [1]])],
+    )
+    ev = Evaluator(inst)
+    assert ev.den == lcm(w, w + 1, 2 * w + 1)
+    assert ev.den.bit_length() < 64
+
+
+def test_potential_scaled_rejects_weighted_instances(example1):
+    ev = Evaluator(example1)
+    with pytest.raises(ValueError, match="weighted-agents-unsupported"):
+        ev.potential_scaled(ev.loads((0, 0, 0)))
 
 
 @given(instances_with_profiles(), st.integers(2, 5))
