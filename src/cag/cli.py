@@ -35,8 +35,9 @@ from .model import (
     BudgetError,
     NoEquilibriumError,
     StrategyProfile,
+    _all_loads,
+    check_profile,
     classify_symmetry,
-    load,
     social_welfare,
     utility,
     validate_instance,
@@ -134,9 +135,10 @@ def _cmd_validate(args) -> int:
 def _cmd_eval(args) -> int:
     inst = _load_instance(args.instance)
     profile = _profile_arg(args.profile)
+    check_profile(inst, profile)
     flags = classify_symmetry(inst)
     data = {
-        "loads": [load(inst, profile, j) for j in range(inst.num_nodes)],
+        "loads": _all_loads(inst, profile),
         "utilities": [
             io.rational_str(utility(inst, profile, i))
             for i in range(inst.num_agents)

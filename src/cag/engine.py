@@ -29,6 +29,9 @@ class Evaluator:
     """Precomputed tables for exact profile evaluation on one instance."""
 
     def __init__(self, inst: Instance):
+        """Raises ValueError on a non-positive weight, an empty strategy
+        space or strategy, or a node index out of range; the remaining
+        `validate_instance` checks do not affect evaluation."""
         self.instance = inst
         self.num_nodes = inst.num_nodes
         self.num_agents = inst.num_agents
@@ -39,11 +42,32 @@ class Evaluator:
             [frozenset(s) for s in a.strategies] for a in inst.agents
         ]
 
+        attracts = []  # per agent: every node it could attract
+        for a in inst.agents:
+            if a.weight < 1:
+                raise ValueError(
+                    f"invalid-instance: agent {a.id!r} has non-positive "
+                    f"weight {a.weight}"
+                )
+            if not a.strategies:
+                raise ValueError(
+                    f"invalid-instance: agent {a.id!r} has an empty strategy space"
+                )
+            if not all(a.strategies):
+                raise ValueError(
+                    f"invalid-instance: agent {a.id!r} has an empty strategy"
+                )
+            attracts.append(set().union(*a.strategies))
+        every = set().union(*attracts)
+        if every and (min(every) < 0 or max(every) >= self.num_nodes):
+            raise ValueError(
+                "invalid-instance: a strategy names a node index outside "
+                f"0..{self.num_nodes - 1}"
+            )
         # reach[j]: bit c set iff some set of j's potential attractors weighs c
         reach = [1] * self.num_nodes
-        for a in inst.agents:
-            w = a.weight
-            for j in set().union(*a.strategies):
+        for w, nodes in zip(self.weights, attracts):
+            for j in nodes:
                 reach[j] |= reach[j] << w
         union = 0
         for r in reach:

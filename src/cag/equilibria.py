@@ -1,18 +1,31 @@
 """Exhaustive equilibrium analysis at desk scale.
 
-Pure Nash equilibria are found by scanning the full profile space; the scan
-is exact and deterministic (lexicographic profile order).  A budget guard
-makes infeasible instances fail loudly instead of being silently sampled:
-no general efficient method exists for these questions, so brute force is
-the only exactness-preserving oracle.
+Every question here -- the equilibrium set, existence, the welfare optimum,
+the price of anarchy -- is answered by one exact, deterministic enumeration
+kernel, `_walk`.  It places agents one at a time in index order and updates
+loads and welfare as it goes, so no profile is evaluated from scratch;
+agents with a single strategy are placed once, before the walk.
 
-The profile space may be partitioned across worker processes; results merge
-deterministically.
+Agents with the same weight and the same strategy tuple are interchangeable:
+permuting their choices permutes their utilities and leaves loads and
+welfare unchanged.  The walk therefore gives each such class non-decreasing
+choices and visits one representative per orbit, the lexicographically
+smallest.  It visits them in lexicographic order, so the first optimum it
+meets is the lexicographically-first witness.  Each equilibrium
+representative expands to its whole orbit, and the expanded list is sorted;
+reports are the same as a full scan of the profile space would give, and
+`profiles_scanned` is the size of that space.
+
+A budget guard makes infeasible instances fail loudly instead of being
+silently sampled: no general efficient method exists for these questions,
+so exhaustive search is the only exactness-preserving oracle.  `analyze`
+can deal the choices of the first agent that has a choice round-robin to
+worker processes (at most one per CPU); results merge deterministically.
 """
 
 from __future__ import annotations
 
-import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -75,40 +88,143 @@ def is_approx_pne(
     )
 
 
-def _profiles(ev: Evaluator, start: int = 0, stop: int | None = None):
-    """Lexicographic profile stream, optionally restricted to a rank range."""
-    sizes = [len(s) for s in ev.spaces]
-    if start == 0 and stop is None:
-        yield from itertools.product(*(range(k) for k in sizes))
-        return
-    total = 1
-    for k in sizes:
-        total *= k
-    stop = total if stop is None else stop
-    for rank in range(start, stop):
-        choices = []
-        rest = rank
-        for k in reversed(sizes):
-            rest, c = divmod(rest, k)
-            choices.append(c)
-        yield tuple(reversed(choices))
+def _classes(inst: Instance) -> list[list[int]]:
+    """Agents grouped by (weight, strategy tuple), members in index order.
+
+    Members of one class are interchangeable: permuting their choices
+    permutes their utilities and leaves every load unchanged."""
+    groups: dict = {}
+    for i, a in enumerate(inst.agents):
+        groups.setdefault((a.weight, a.strategies), []).append(i)
+    return list(groups.values())
 
 
-def _scan(ev: Evaluator, start: int, stop: int | None):
-    """One enumeration pass: equilibria plus the welfare optimum."""
-    pne: list[tuple[int, ...]] = []
-    best_welfare = -1
-    best_profile: tuple[int, ...] | None = None
-    scanned = 0
-    for choices in _profiles(ev, start, stop):
-        scanned += 1
-        loads = ev.loads(choices)
-        welfare = ev.welfare(loads)
-        if welfare > best_welfare:
-            best_welfare, best_profile = welfare, choices
-        if ev.is_approx_pne(choices, loads, 1, 1):
-            pne.append(choices)
-    return pne, best_welfare, best_profile, scanned
+def _walk(
+    ev: Evaluator,
+    top: range | None = None,
+    test_pne: bool = True,
+    first_pne: bool = False,
+):
+    """Depth-first walk over one representative profile per orbit.
+
+    Agents with a single strategy are placed first; the others are placed
+    in index order, adding to loads and welfare as they go.  An agent's
+    choices start at the choice of the previous member of its class, so
+    each class takes non-decreasing choices: the walk visits exactly the
+    lexicographically smallest profile of every orbit, in lexicographic
+    order.  `top` restricts the first choosing agent's choices (one
+    worker's share); `first_pne` stops at the first equilibrium.
+
+    Returns the equilibrium representatives as (choices, welfare) pairs,
+    and the optimal welfare with its lexicographically-first witness, which
+    is always a representative.
+    """
+    spaces, weights, values = ev.spaces, ev.weights, ev.values
+    twin = [-1] * ev.num_agents  # previous member of the agent's class, or -1
+    for members in _classes(ev.instance):
+        for prev, i in zip(members, members[1:]):
+            twin[i] = prev
+    loads = [0] * ev.num_nodes
+    choices = [0] * ev.num_agents
+    active = []
+    for i, space in enumerate(spaces):
+        if len(space) > 1:
+            active.append(i)
+        else:
+            for j in space[0]:
+                loads[j] += weights[i]
+    depth = len(active)
+    is_pne = ev.is_approx_pne
+    reps: list[tuple[tuple[int, ...], int]] = []
+    best_welfare, best_profile = -1, None
+
+    def place(t: int, welfare: int) -> bool:
+        """Place the choosing agents from the t-th on; True means stop."""
+        nonlocal best_welfare, best_profile
+        if t == depth:
+            if welfare > best_welfare:
+                best_welfare, best_profile = welfare, tuple(choices)
+            if test_pne and is_pne(choices, loads, 1, 1):
+                reps.append((tuple(choices), welfare))
+                return first_pne
+            return False
+        i = active[t]
+        w = weights[i]
+        space = spaces[i]
+        if t == 0 and top is not None:
+            options = top
+        else:
+            options = range(choices[twin[i]] if twin[i] >= 0 else 0, len(space))
+        for c in options:
+            choices[i] = c
+            gain = 0
+            for j in space[c]:
+                if not loads[j]:
+                    gain += values[j]
+                loads[j] += w
+            stop = place(t + 1, welfare + gain)
+            for j in space[c]:
+                loads[j] -= w
+            if stop:
+                return True
+        return False
+
+    place(0, ev.welfare(loads))
+    return reps, best_welfare, best_profile
+
+
+def _distinct_permutations(items):
+    """The distinct permutations of a sorted list, in lexicographic order."""
+    items = list(items)
+    while True:
+        yield items
+        k = len(items) - 2
+        while k >= 0 and items[k] >= items[k + 1]:
+            k -= 1
+        if k < 0:
+            return
+        m = len(items) - 1
+        while items[m] <= items[k]:
+            m -= 1
+        items[k], items[m] = items[m], items[k]
+        items[k + 1:] = reversed(items[k + 1:])
+
+
+def _expand(inst: Instance, reps) -> list[tuple[int, ...]]:
+    """Every profile in the orbits of the representatives, sorted."""
+    classes = [members for members in _classes(inst) if len(members) > 1]
+    out = []
+    for choices, _ in reps:
+        profiles = [list(choices)]
+        for members in classes:
+            profiles = [
+                _assign(p, members, perm)
+                for p in profiles
+                for perm in _distinct_permutations([p[i] for i in members])
+            ]
+        out.extend(tuple(p) for p in profiles)
+    out.sort()
+    return out
+
+
+def _assign(choices: list[int], members, perm) -> list[int]:
+    out = choices[:]
+    for i, c in zip(members, perm):
+        out[i] = c
+    return out
+
+
+def _worker_count(jobs: int) -> int:
+    """Worker processes for a `jobs` request: at least one, and never more
+    than the machine's CPU count."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
+def _walk_part(part):
+    inst, top = part
+    return _walk(Evaluator(inst), top=top)
 
 
 def analyze(
@@ -116,39 +232,37 @@ def analyze(
 ) -> EquilibriumReport:
     """Enumerate every profile once, collecting the equilibrium set, the
     optimal welfare with a lexicographically-first witness, and the price of
-    anarchy against the worst equilibrium."""
+    anarchy against the worst equilibrium.
+
+    With ``jobs > 1`` the first choosing agent's choices are dealt
+    round-robin to at most `_worker_count(jobs)` processes; the merge is
+    deterministic."""
+    jobs = _worker_count(jobs)
     size = _check_budget(inst, budget)
     ev = Evaluator(inst)
+    # choices of the first agent that has a choice, split among workers
+    top = next((len(s) for s in ev.spaces if len(s) > 1), 1)
+    jobs = min(jobs, top)
     if jobs > 1 and size > 4 * jobs:
-        bounds = [(size * k) // jobs for k in range(jobs + 1)]
-        chunks = [(inst, bounds[k], bounds[k + 1]) for k in range(jobs)]
+        parts = [(inst, range(r, top, jobs)) for r in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_scan_chunk, chunks))
-        pne = [p for part in parts for p in part[0]]
-        best_welfare, best_profile = -1, None
-        for _, welfare, profile, _ in parts:
-            if welfare > best_welfare:
-                best_welfare, best_profile = welfare, profile
-        scanned = sum(part[3] for part in parts)
+            results = list(pool.map(_walk_part, parts))
+        reps = [rep for part in results for rep in part[0]]
+        _, best_welfare, best_profile = min(
+            results, key=lambda part: (-part[1], part[2])
+        )
     else:
-        pne, best_welfare, best_profile, scanned = _scan(ev, 0, None)
-    pne.sort()
+        reps, best_welfare, best_profile = _walk(ev)
     ratio = None
-    if pne:
-        worst = min(ev.welfare(ev.loads(choices)) for choices in pne)
-        ratio = Fraction(best_welfare, worst)
+    if reps:
+        ratio = Fraction(best_welfare, min(welfare for _, welfare in reps))
     return EquilibriumReport(
-        pne=tuple(StrategyProfile(c) for c in pne),
+        pne=tuple(StrategyProfile(c) for c in _expand(inst, reps)),
         opt_welfare=best_welfare,
         opt_profile=StrategyProfile(best_profile),
         poa=ratio,
-        profiles_scanned=scanned,
+        profiles_scanned=size,
     )
-
-
-def _scan_chunk(chunk):
-    inst, start, stop = chunk
-    return _scan(Evaluator(inst), start, stop)
 
 
 def enumerate_pne(
@@ -156,24 +270,15 @@ def enumerate_pne(
 ) -> list[StrategyProfile]:
     """Exactly the set of pure Nash equilibria, in lexicographic order."""
     _check_budget(inst, budget)
-    ev = Evaluator(inst)
-    found = []
-    for choices in _profiles(ev):
-        loads = ev.loads(choices)
-        if ev.is_approx_pne(choices, loads, 1, 1):
-            found.append(StrategyProfile(choices))
-    return found
+    reps, _, _ = _walk(Evaluator(inst))
+    return [StrategyProfile(c) for c in _expand(inst, reps)]
 
 
 def pne_exists(inst: Instance, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff the instance has at least one pure Nash equilibrium."""
     _check_budget(inst, budget)
-    ev = Evaluator(inst)
-    for choices in _profiles(ev):
-        loads = ev.loads(choices)
-        if ev.is_approx_pne(choices, loads, 1, 1):
-            return True
-    return False
+    reps, _, _ = _walk(Evaluator(inst), first_pne=True)
+    return bool(reps)
 
 
 def optimal_social_welfare(
@@ -181,13 +286,7 @@ def optimal_social_welfare(
 ) -> tuple[int, StrategyProfile]:
     """Maximal social welfare and its lexicographically-first witness."""
     _check_budget(inst, budget)
-    ev = Evaluator(inst)
-    best_welfare = -1
-    best_profile: tuple[int, ...] | None = None
-    for choices in _profiles(ev):
-        welfare = ev.welfare(ev.loads(choices))
-        if welfare > best_welfare:
-            best_welfare, best_profile = welfare, choices
+    _, best_welfare, best_profile = _walk(Evaluator(inst), test_pne=False)
     return best_welfare, StrategyProfile(best_profile)
 
 

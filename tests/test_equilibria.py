@@ -1,7 +1,9 @@
 import itertools
+import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cag import (
     BudgetError,
@@ -17,8 +19,11 @@ from cag import (
     pne_exists,
     poa,
     rosenthal_potential,
+    social_welfare,
     utility,
 )
+from cag import equilibria
+from cag.equilibria import EquilibriumReport, _worker_count
 
 
 def test_is_pne_examples(example1, example1_minus_dummy):
@@ -149,3 +154,129 @@ def test_pne_iff_local_potential_maximum():
                     if rosenthal_potential(inst, other) > phi:
                         local_max = False
             assert is_approx_pne(inst, profile, 1) == local_max
+
+
+@st.composite
+def games_with_twins(draw):
+    """Instances built from a few agent types, so interchangeable agents
+    appear at interleaved indices; spaces may repeat a strategy or hold only
+    one, and two types may share a space but not a weight."""
+    n = draw(st.integers(1, 4))
+    strategy = st.sets(st.integers(0, n - 1), min_size=1).map(
+        lambda s: tuple(sorted(s))
+    )
+    types = []
+    for _ in range(draw(st.integers(1, 3))):
+        if types and draw(st.booleans()):
+            space = list(draw(st.sampled_from(types))[1])
+        else:
+            space = draw(st.lists(strategy, min_size=1, max_size=3))
+        if draw(st.booleans()):
+            space.insert(draw(st.integers(0, len(space))), draw(st.sampled_from(space)))
+        types.append((draw(st.integers(1, 3)), space))
+    picks = draw(st.lists(st.integers(0, len(types) - 1), min_size=1, max_size=4))
+    nodes = [(f"q{j + 1}", draw(st.integers(1, 4))) for j in range(n)]
+    agents = [(f"a{i + 1}", *types[t]) for i, t in enumerate(picks)]
+    return Instance.build(nodes, agents)
+
+
+def brute_force_report(inst):
+    """The report from a plain product scan in exact fractions."""
+    profiles = [
+        StrategyProfile(c)
+        for c in itertools.product(*(range(len(a.strategies)) for a in inst.agents))
+    ]
+
+    def is_pne(p):
+        for i, agent in enumerate(inst.agents):
+            current = utility(inst, p, i)
+            for alt in range(len(agent.strategies)):
+                other = StrategyProfile(p.choices[:i] + (alt,) + p.choices[i + 1:])
+                if utility(inst, other, i) > current:
+                    return False
+        return True
+
+    welfare = {p: social_welfare(inst, p) for p in profiles}
+    opt = max(welfare.values())
+    pne = tuple(p for p in profiles if is_pne(p))
+    return EquilibriumReport(
+        pne=pne,
+        opt_welfare=opt,
+        opt_profile=next(p for p in profiles if welfare[p] == opt),
+        poa=Fraction(opt, min(welfare[p] for p in pne)) if pne else None,
+        profiles_scanned=len(profiles),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(games_with_twins())
+@example(  # same space, different weights: not interchangeable
+    Instance.build([("q1", 1), ("q2", 2)],
+                   [("a1", 1, [[0], [1]]), ("a2", 2, [[0], [1]])])
+)
+def test_kernel_matches_brute_force(inst):
+    expected = brute_force_report(inst)
+    assert analyze(inst) == expected
+    assert enumerate_pne(inst) == list(expected.pne)
+    assert pne_exists(inst) == bool(expected.pne)
+    assert optimal_social_welfare(inst) == (expected.opt_welfare, expected.opt_profile)
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [
+        gen_random("symmetric", seed=3, num_nodes=6, num_agents=4, num_strategies=4),
+        gen_random("asymmetric", seed=3, num_nodes=6, num_agents=4, num_strategies=3),
+    ],
+    ids=["orbits", "asymmetric"],
+)
+def test_analyze_jobs_matches_serial(monkeypatch, inst):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert analyze(inst, jobs=2) == analyze(inst, jobs=1)
+
+
+def test_worker_count_clamps_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert [_worker_count(j) for j in (1, 3, 4, 5, 100_000)] == [1, 3, 4, 4, 4]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _worker_count(8) == 1
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            _worker_count(bad)
+
+
+def test_analyze_caps_worker_processes(monkeypatch):
+    """A huge `jobs` asks for one worker per CPU; the pool is replaced by an
+    in-process stand-in, so no process starts."""
+    requested = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, parts):
+            return map(fn, parts)
+
+    monkeypatch.setattr(equilibria, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    inst = gen_random("symmetric", seed=14, num_nodes=6, num_agents=3,
+                      num_strategies=4)
+    assert analyze(inst, jobs=100_000) == analyze(inst)
+    assert requested == [3]
+
+
+def test_many_single_strategy_agents():
+    """Agents without a choice do not deepen the walk."""
+    pinned = [(f"p{k}", 1, [[0]]) for k in range(1200)]
+    free = [("a1", 1, [[0], [1]]), ("a2", 1, [[0], [1]])]
+    inst = Instance.build([("q1", 1), ("q2", 1)], pinned + free)
+    report = analyze(inst)
+    assert [p.choices for p in report.pne] == [(0,) * 1200 + (1, 1)]
+    assert (report.opt_welfare, report.opt_profile.choices) == (2, (0,) * 1200 + (0, 1))
+    assert report.poa == 1

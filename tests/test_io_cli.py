@@ -248,6 +248,12 @@ def test_cli_analyze_jobs_flag(tmp_path, capsys):
     assert capsys.readouterr().out == serial
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_cli_rejects_jobs_below_one(example1_file, capsys, jobs):
+    assert run_cli(["analyze", str(example1_file), "--jobs", jobs]) == 2
+    assert "jobs must be at least 1" in _single_error_line(capsys)
+
+
 def test_cli_budget_env(example1_file, monkeypatch, capsys):
     monkeypatch.setenv("CAG_BUDGET", "2")
     assert run_cli(["analyze", str(example1_file)]) == 1

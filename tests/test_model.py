@@ -8,6 +8,7 @@ from cag import (
     Agent,
     Instance,
     StrategyProfile,
+    analyze,
     classify_symmetry,
     load,
     social_welfare,
@@ -219,3 +220,24 @@ def test_dropping_nodes_never_helps(case):
         agents[agent] = Agent(agents[agent].id, agents[agent].weight, tuple(spaces))
         shrunk = Instance(inst.nodes, tuple(agents))
         assert utility(shrunk, profile, agent) <= base
+
+
+@pytest.mark.parametrize(
+    "agents",
+    [
+        [("a1", 0, [[0]])],
+        [("a1", -2, [[0]])],
+        [("a1", 1, [])],
+        [("a1", 1, [[0], []])],
+        [("a1", 1, [[0, 2]])],
+        [("a1", 1, [[-1]])],
+    ],
+    ids=["zero-weight", "negative-weight", "empty-space", "empty-strategy",
+         "node-too-large", "negative-node"],
+)
+def test_evaluator_rejects_invalid_instances(agents):
+    inst = Instance.build([("q1", 1), ("q2", 1)], agents)
+    with pytest.raises(ValueError, match="^invalid-instance: "):
+        Evaluator(inst)
+    with pytest.raises(ValueError, match="^invalid-instance: "):
+        analyze(inst)
