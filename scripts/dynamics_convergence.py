@@ -7,6 +7,8 @@ counts are usually far below the bound.
 """
 
 import argparse
+import os
+import sys
 from fractions import Fraction
 
 from cag import DynamicsConfig, StrategyProfile, gen_random, run_dynamics
@@ -50,4 +52,10 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except BrokenPipeError:
+        # the reader stopped early (`| head`); send the unflushed rest of
+        # stdout to devnull so the exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

@@ -8,6 +8,8 @@ while the optimum spreads out.  The printed ratio is n/m while n < 2m and
 """
 
 import argparse
+import os
+import sys
 
 from cag import analyze, build_named_instance
 
@@ -39,4 +41,10 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except BrokenPipeError:
+        # the reader stopped early (`| head`); send the unflushed rest of
+        # stdout to devnull so the exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

@@ -9,6 +9,8 @@ potential identity on every assignment.
 
 import argparse
 import itertools
+import os
+import sys
 
 from cag import (
     CutGraph,
@@ -47,4 +49,10 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except BrokenPipeError:
+        # the reader stopped early (`| head`); send the unflushed rest of
+        # stdout to devnull so the exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)

@@ -169,7 +169,10 @@ def _walk(
                 return True
         return False
 
-    place(0, ev.welfare(loads))
+    try:
+        place(0, ev.welfare(loads))
+    finally:
+        del place  # the closure refers to itself; free the Evaluator now, not at gc
     return reps, best_welfare, best_profile
 
 

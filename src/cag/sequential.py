@@ -10,6 +10,20 @@ each rival branch may answer with its adversarial (mover-worst) achievable
 continuation.  Worst-case equilibrium selection exploits ties, so the
 exhaustive set is what price-of-anarchy questions must range over.
 
+`spe_decision` and `spoa` need only utilities and welfare of that set, so
+they run a memoized walk, `_achievable`.  Every mover's utility is a
+function of its own choice and the final loads, and the subgame after the
+t-th real decision is fixed by the loads so far.  The walk therefore
+answers each state once from a table keyed by (t, loads), plus the queried
+agent's choice once that agent has moved, since its utility depends on it.
+An outcome is an interned id of a distinct leaf: its final loads and the
+queried agent's choice.  A parent scores its mover on each id from the
+final loads, so leaves evaluate nothing and deduplication hashes small
+ints.  Every profile's loads are interned along the way, so `spoa` takes
+the optimum from the same walk.  `spe_solve` keeps the plain walks: they
+report profiles, and they are the reference the memoized walk is tested
+against.
+
 Strategy lists themselves are exponentially large and never materialized;
 outcomes are certified through achievable continuation values instead.
 """
@@ -20,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import Evaluator
-from .equilibria import DEFAULT_BUDGET, optimal_social_welfare
+from .equilibria import DEFAULT_BUDGET
 from .model import BudgetError, Instance, StrategyProfile
 
 __all__ = [
@@ -144,7 +158,7 @@ def _prefix_expander(ev: Evaluator, order, prefix):
     return full_prefix
 
 
-def _solve_exhaustive(ev: Evaluator, order, dedup_by_utils: bool, collect=None):
+def _solve_exhaustive(ev: Evaluator, order, collect=None):
     loads, choices, active = _prepare(ev, order)
     spaces = ev.spaces
     weights = ev.weights
@@ -178,13 +192,74 @@ def _solve_exhaustive(ev: Evaluator, order, dedup_by_utils: bool, collect=None):
         else:
             threshold = max(min(u[mover] for _, u in sub) for sub in children)
             merged = [o for sub in children for o in sub if o[1][mover] >= threshold]
-        if dedup_by_utils:
-            merged = list({u: (c, u) for c, u in merged}.values())
         if track:
             collect[full_prefix()] = list(merged)
         return merged
 
     return walk(0)
+
+
+def _achievable(ev: Evaluator, order, agent: int | None = None):
+    """Outcomes achievable under some tie-breaking, by memoized backward
+    induction.
+
+    Returns the root's outcome ids and `finals`, where ``finals[id]`` is
+    the leaf's final loads and `agent`'s choice in it (0 without `agent`).
+    The root's ids stand for the outcomes `_solve_exhaustive` returns, with
+    outcomes that agree on both merged into one.
+    """
+    loads, choices, active = _prepare(ev, order)
+    spaces, weights, terms, share = ev.spaces, ev.weights, ev.terms, ev.share
+    depth = len(active)
+    # from this depth on, the queried agent's choice is part of the state
+    moved = active.index(agent) + 1 if agent in active else depth + 1
+    ids: dict = {}  # (final loads, queried choice) -> outcome id
+    finals: list = []  # outcome id -> (final loads, queried choice)
+    table: dict = {}  # state -> its achievable outcome ids
+
+    def walk(t: int):
+        state = tuple(loads)
+        if t == depth:
+            leaf = (state, 0 if agent is None else choices[agent])
+            oid = ids.get(leaf)
+            if oid is None:
+                oid = ids[leaf] = len(finals)
+                finals.append(leaf)
+            return (oid,)
+        key = (t, state, choices[agent]) if t >= moved else (t, state)
+        merged = table.get(key)
+        if merged is not None:
+            return merged
+        mover = active[t]
+        w = weights[mover]
+        scored = []  # per choice: (mover's utility, outcome id) pairs
+        for s, nodes in enumerate(spaces[mover]):
+            choices[mover] = s
+            for j in nodes:
+                loads[j] += w
+            sub = walk(t + 1)
+            for j in nodes:
+                loads[j] -= w
+            mine = terms[mover][s]
+            pairs = []
+            for oid in sub:
+                final = finals[oid][0]
+                u = 0
+                for j, wv in mine:
+                    u += wv * share[final[j]]
+                pairs.append((u, oid))
+            scored.append(pairs)
+        # The mover can force at least the best adversarial continuation
+        # value, so only outcomes meeting that threshold are achievable.
+        threshold = max(min(pairs)[0] for pairs in scored)
+        merged = tuple({oid for pairs in scored for u, oid in pairs if u >= threshold})
+        table[key] = merged
+        return merged
+
+    try:
+        return walk(0), finals
+    finally:
+        del walk  # the closure refers to itself; free the table now, not at gc
 
 
 def spe_solve(
@@ -208,7 +283,7 @@ def spe_solve(
     if mode == "deterministic":
         raw = _solve_deterministic(ev, game.order, collect=collect)
     else:
-        raw = _solve_exhaustive(ev, game.order, dedup_by_utils=False, collect=collect)
+        raw = _solve_exhaustive(ev, game.order, collect=collect)
         raw.sort(key=lambda o: o[0])
     outcomes = tuple(_to_outcome(ev, c, u) for c, u in raw)
     values = None
@@ -248,8 +323,12 @@ def spe_decision(
     threshold = Fraction(threshold)
     _check_budget(game, budget)
     ev = Evaluator(game.instance)
-    raw = _solve_exhaustive(ev, game.order, dedup_by_utils=True)
-    best = max(u[agent] for _, u in raw)
+    roots, finals = _achievable(ev, game.order, agent)
+    terms, share = ev.terms[agent], ev.share
+    best = max(
+        sum(wv * share[loads[j]] for j, wv in terms[choice])
+        for loads, choice in (finals[o] for o in roots)
+    )
     return best * threshold.denominator >= threshold.numerator * ev.den
 
 
@@ -258,8 +337,8 @@ def spoa(game: SequentialGame, budget: int = DEFAULT_BUDGET) -> Fraction:
     outcome under any tie-breaking."""
     _check_budget(game, budget)
     ev = Evaluator(game.instance)
-    raw = _solve_exhaustive(ev, game.order, dedup_by_utils=True)
-    worst = min(sum(u) for _, u in raw)
-    assert worst % ev.den == 0
-    opt, _ = optimal_social_welfare(game.instance, budget)
-    return Fraction(opt, worst // ev.den)
+    roots, finals = _achievable(ev, game.order)
+    worst = min(ev.welfare(finals[o][0]) for o in roots)
+    # every profile's loads were interned, so the optimum is among them
+    opt = max(ev.welfare(loads) for loads, _ in finals)
+    return Fraction(opt, worst)

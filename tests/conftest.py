@@ -1,7 +1,23 @@
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import strategies as st
 
 from cag import Instance, StrategyProfile, build_named_instance
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def src_env() -> dict:
+    """The environment with the repository's `src/` first on PYTHONPATH,
+    for running the package or the scripts in a subprocess."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 @pytest.fixture

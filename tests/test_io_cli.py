@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,7 @@ from cag import (
 from cag import io
 from cag.cli import run_cli
 
-from conftest import instances, instances_with_profiles
+from conftest import instances, instances_with_profiles, src_env
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +148,18 @@ def test_cli_spoa_value(tmp_path, capsys):
     run_cli(["gadget", "spoa-two-agent", "-o", str(game_file)])
     assert run_cli(["spoa", str(game_file), "--mode", "exhaustive"]) == 0
     assert json.loads(capsys.readouterr().out) == "3/2"
+
+
+@pytest.mark.parametrize("module", ["cag", "cag.cli"])
+def test_python_m_runs_the_cli(tmp_path, module):
+    game_file = tmp_path / "spoa2.json"
+    run_cli(["gadget", "spoa-two-agent", "-o", str(game_file)])
+    done = subprocess.run(
+        [sys.executable, "-m", module, "spoa", str(game_file)],
+        env=src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == "3/2"
 
 
 def test_cli_validate_bad_instance(tmp_path, capsys):

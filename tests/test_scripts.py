@@ -1,24 +1,20 @@
 """Smoke tests for the experiment scripts under scripts/."""
 
-import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, src_env
+
+SCRIPTS = ["dynamics_convergence.py", "poa_lower_bounds.py", "reduction_sizes.py"]
 
 
 def run_script(name: str) -> str:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name)],
-        env=env, capture_output=True, text=True, timeout=300,
+        env=src_env(), capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -37,3 +33,24 @@ def test_poa_lower_bounds_match_closed_form():
         n, m = int(n), int(m)
         expected = Fraction(n, m) if n < 2 * m else Fraction(2 * m - 1, m)
         assert Fraction(ratio) == expected, (n, m)
+
+
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_script_exits_quietly_when_reader_stops(name):
+    """Like `script | head -1`: the reader closes the pipe after one line."""
+    env = src_env()
+    env["PYTHONUNBUFFERED"] = "1"  # each line reaches the pipe as printed
+    proc = subprocess.Popen(
+        [sys.executable, str(ROOT / "scripts" / name)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=300)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert "Traceback" not in err, err
+    assert "BrokenPipeError" not in err, err

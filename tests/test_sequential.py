@@ -1,15 +1,20 @@
+import gc
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cag import (
     BudgetError,
     Instance,
     SequentialGame,
     StrategyProfile,
+    analyze,
     build_named_instance,
     gen_random,
+    optimal_social_welfare,
     outcome_welfare,
     spe_decision,
     spe_solve,
@@ -177,10 +182,8 @@ def test_spe_decision_thresholds():
 
 
 def test_spoa_agrees_with_full_outcome_enumeration():
-    """spoa uses a utility-deduplicated solve internally; it must agree with
-    the welfare minimum over the full exhaustive outcome set."""
-    from cag import optimal_social_welfare
-
+    """spoa uses a memoized solve internally; it must agree with the
+    welfare minimum over the full exhaustive outcome set."""
     for seed in range(15):
         inst = gen_random(
             "s-asymmetric",
@@ -198,6 +201,74 @@ def test_spoa_agrees_with_full_outcome_enumeration():
         best_first = max(o.utilities[0] for o in result.outcomes)
         assert spe_decision(game, 0, best_first)
         assert not spe_decision(game, 0, best_first + Fraction(1, 10**6))
+
+
+@st.composite
+def colliding_games(draw):
+    """Games whose subgame states collide, so the memo table is hit: every
+    agent shares one strategy space (unit weights, or small weights as in
+    `w-asymmetric`), some are pinned to one of its strategies, and the move
+    order is shuffled."""
+    n = draw(st.integers(1, 4))
+    strategy = st.sets(st.integers(0, n - 1), min_size=1).map(
+        lambda s: tuple(sorted(s))
+    )
+    shared = draw(st.lists(strategy, min_size=2, max_size=3))
+    weighted = draw(st.booleans())
+    agents = []
+    for i in range(draw(st.integers(1, 5))):
+        weight = draw(st.integers(1, 3)) if weighted else 1
+        space = [draw(st.sampled_from(shared))] if draw(st.integers(0, 3)) == 0 else shared
+        agents.append((f"a{i + 1}", weight, space))
+    inst = Instance.build([(f"q{j + 1}", 1) for j in range(n)], agents)
+    return SequentialGame(inst, tuple(draw(st.permutations(range(len(agents))))))
+
+
+# Four interchangeable agents: the first two movers reach the same loads
+# with their choices swapped, so the queried agent 0's own choice must tell
+# the two states apart.
+SWAPPED_CHOICES = SequentialGame(
+    Instance.build(
+        [(f"q{j + 1}", 1) for j in range(4)],
+        [(f"a{i + 1}", 1, [(1, 3), (0,)]) for i in range(4)],
+    ),
+    (0, 3, 1, 2),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(colliding_games())
+@example(SWAPPED_CHOICES)
+def test_memoized_walk_matches_exhaustive_reference(game):
+    """spoa and spe_decision against the unmemoized exhaustive walk, with
+    every agent queried: singleton-space agents and the last mover too."""
+    outcomes = spe_solve(game, mode="exhaustive").outcomes
+    opt, _ = optimal_social_welfare(game.instance)
+    assert spoa(game) == Fraction(opt, min(outcome_welfare(o) for o in outcomes))
+    for agent in range(game.instance.num_agents):
+        best = max(o.utilities[agent] for o in outcomes)
+        assert spe_decision(game, agent, best), agent
+        assert not spe_decision(game, agent, best + Fraction(1, 10**6)), agent
+
+
+def test_calls_leave_no_cyclic_garbage():
+    """A recursive walk left as a reference cycle would keep its tables and
+    Evaluator alive until the cyclic collector runs."""
+    inst = gen_random("symmetric", seed=3, num_nodes=8, num_agents=4, num_strategies=6)
+    game = SequentialGame.natural(inst)
+    calls = {
+        "analyze": lambda: analyze(inst),
+        "spoa": lambda: spoa(game),
+        "spe_decision": lambda: spe_decision(game, 0, 1),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            call()
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
 
 
 def test_subgame_values_collected():
