@@ -13,6 +13,17 @@ from fractions import Fraction
 
 from cag import DynamicsConfig, StrategyProfile, gen_random, run_dynamics
 from cag.dynamics import epsilon_step_bound
+from cag.io import parse_rational
+
+
+def positive_rational(text: str) -> Fraction:
+    try:
+        value = parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
 
 
 def main() -> None:
@@ -20,11 +31,11 @@ def main() -> None:
     parser.add_argument("--instances", type=int, default=50)
     parser.add_argument("--agents", type=int, default=4)
     parser.add_argument("--nodes", type=int, default=10)
-    parser.add_argument("--eps", default="1/10", help="rational like 1/10")
-    args = parser.parse_args()
-    eps = Fraction(*map(int, args.eps.split("/"))) if "/" in args.eps else Fraction(
-        int(args.eps)
+    parser.add_argument(
+        "--eps", type=positive_rational, default="1/10", help="rational like 1/10"
     )
+    args = parser.parse_args()
+    eps = args.eps
 
     worst_ratio = 0.0
     total_steps = 0

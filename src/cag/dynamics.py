@@ -119,6 +119,9 @@ def _check_config(inst: Instance, cfg: DynamicsConfig) -> None:
                 "agent weights"
             )
     else:
+        # only a float can be non-finite; an exact alpha may exceed float range
+        if isinstance(cfg.alpha, float) and not math.isfinite(cfg.alpha):
+            raise ValueError(f"alpha must be finite, got {cfg.alpha}")
         if cfg.alpha < 1:
             raise ValueError("alpha must be >= 1")
         # Tiny tolerance so callers may pass the float threshold itself.
@@ -149,7 +152,7 @@ def run_dynamics(
         args = (p, q)
     else:
         alpha = Fraction(cfg.alpha)
-        select = _first_alpha_step
+        select = Evaluator.first_improvement
         args = (alpha.numerator, alpha.denominator)
 
     termination = "step-limit"
@@ -200,16 +203,3 @@ def _max_gain_step(ev: Evaluator, choices, loads, p: int, q: int):
         return None
     return best
 
-
-def _first_alpha_step(ev: Evaluator, choices, loads, num: int, den: int):
-    """First deviation (lexicographic) multiplying an agent's utility by
-    more than num/den, or None."""
-    for i in range(ev.num_agents):
-        current = ev.utility_scaled(choices, loads, i)
-        for alt in range(len(ev.spaces[i])):
-            if alt == choices[i]:
-                continue
-            dev = ev.deviation_scaled(choices, loads, i, alt)
-            if dev * den > current * num:
-                return i, alt, dev - current
-    return None

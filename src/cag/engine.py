@@ -175,14 +175,39 @@ class Evaluator:
                 best, best_choice = u, alt
         return best_choice, best
 
-    def is_approx_pne(self, choices, loads, alpha_num: int, alpha_den: int) -> bool:
-        """True iff no agent has a deviation worth more than
-        (alpha_num/alpha_den) times its current utility."""
+    def preplace(self, order):
+        """Loads with every single-strategy agent placed, all-zero choices,
+        and the agents of `order` that have a real choice, in that order.
+
+        A single-strategy agent's load is the same in every profile, so a
+        search places it once instead of at every node; its choice is 0."""
+        loads = [0] * self.num_nodes
+        active = []
+        for i in order:
+            if len(self.spaces[i]) > 1:
+                active.append(i)
+            else:
+                w = self.weights[i]
+                for j in self.spaces[i][0]:
+                    loads[j] += w
+        return loads, [0] * self.num_agents, active
+
+    def first_improvement(self, choices, loads, alpha_num: int, alpha_den: int):
+        """The first deviation, in (agent, strategy) order, worth more than
+        (alpha_num/alpha_den) times the agent's current utility, as
+        (agent, strategy, scaled gain); None if there is none."""
         for i in range(self.num_agents):
-            current = self.utility_scaled(choices, loads, i) * alpha_num
+            current = self.utility_scaled(choices, loads, i)
+            bar = current * alpha_num
             for alt in range(len(self.spaces[i])):
                 if alt == choices[i]:
                     continue
-                if self.deviation_scaled(choices, loads, i, alt) * alpha_den > current:
-                    return False
-        return True
+                dev = self.deviation_scaled(choices, loads, i, alt)
+                if dev * alpha_den > bar:
+                    return i, alt, dev - current
+        return None
+
+    def is_approx_pne(self, choices, loads, alpha_num: int, alpha_den: int) -> bool:
+        """True iff no agent has a deviation worth more than
+        (alpha_num/alpha_den) times its current utility."""
+        return self.first_improvement(choices, loads, alpha_num, alpha_den) is None

@@ -124,15 +124,7 @@ def _walk(
     for members in _classes(ev.instance):
         for prev, i in zip(members, members[1:]):
             twin[i] = prev
-    loads = [0] * ev.num_nodes
-    choices = [0] * ev.num_agents
-    active = []
-    for i, space in enumerate(spaces):
-        if len(space) > 1:
-            active.append(i)
-        else:
-            for j in space[0]:
-                loads[j] += weights[i]
+    loads, choices, active = ev.preplace(range(ev.num_agents))
     depth = len(active)
     is_pne = ev.is_approx_pne
     reps: list[tuple[tuple[int, ...], int]] = []

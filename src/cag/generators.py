@@ -63,8 +63,17 @@ def gen_random(
         raise ValueError(f"unknown instance kind {kind!r}")
     if num_nodes < 1 or num_agents < 1 or num_strategies < 1:
         raise ValueError("sizes must be positive")
+    for name, bound in (
+        ("max_strategy_size", max_strategy_size),
+        ("max_weight", max_weight),
+        ("max_value", max_value),
+    ):
+        if bound is not None and bound < 1:
+            raise ValueError(f"{name} must be at least 1, got {bound}")
     rng = random.Random(seed)
-    max_size = min(max_strategy_size or num_nodes, num_nodes)
+    max_size = num_nodes
+    if max_strategy_size is not None:
+        max_size = min(max_strategy_size, num_nodes)
 
     if kind in ("symmetric", "w-asymmetric"):
         shared = _random_space(rng, num_nodes, num_strategies, max_size)

@@ -52,7 +52,10 @@ def parse_rational(text: str) -> Fraction:
     if len(parts) == 1:
         return Fraction(int(parts[0]))
     if len(parts) == 2:
-        return Fraction(int(parts[0]), int(parts[1]))
+        den = int(parts[1])
+        if den == 0:
+            raise ValueError(f"malformed rational {text!r}: zero denominator")
+        return Fraction(int(parts[0]), den)
     raise ValueError(f"malformed rational {text!r}")
 
 

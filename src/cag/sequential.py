@@ -20,9 +20,11 @@ An outcome is an interned id of a distinct leaf: its final loads and the
 queried agent's choice.  A parent scores its mover on each id from the
 final loads, so leaves evaluate nothing and deduplication hashes small
 ints.  Every profile's loads are interned along the way, so `spoa` takes
-the optimum from the same walk.  `spe_solve` keeps the plain walks: they
-report profiles, and they are the reference the memoized walk is tested
-against.
+the optimum from the same walk.  `spe_solve` runs the one plain walk,
+`_solve`, in either mode; the modes differ only in how a mover merges its
+children.  It reports profiles, and it is the reference the memoized walk
+is tested against.  Both walks place single-strategy movers once, before
+they start, since those movers make no decision.
 
 Strategy lists themselves are exponentially large and never materialized;
 outcomes are certified through achievable continuation values instead.
@@ -34,8 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import Evaluator
-from .equilibria import DEFAULT_BUDGET
-from .model import BudgetError, Instance, StrategyProfile
+from .equilibria import DEFAULT_BUDGET, _check_budget
+from .model import Instance, StrategyProfile
 
 __all__ = [
     "SequentialGame",
@@ -82,91 +84,20 @@ def outcome_welfare(outcome: SpeOutcome) -> int:
     return int(total)
 
 
-def _check_budget(game: SequentialGame, budget: int) -> None:
-    size = game.instance.profile_space_size()
-    if size > budget:
-        raise BudgetError(
-            f"search-space-too-large: {size} leaf profiles exceed budget {budget}"
-        )
+def _solve(ev: Evaluator, order, exhaustive: bool, collect=None):
+    """Plain backward induction over every profile, as (choices, scaled
+    utilities) outcomes.
 
-
-def _prepare(ev: Evaluator, order):
-    """Pre-place movers without a real decision (singleton spaces): their
-    loads are constant across the whole game tree."""
-    loads = [0] * ev.num_nodes
-    choices = [0] * ev.num_agents
-    active = []
-    for mover in order:
-        if len(ev.spaces[mover]) == 1:
-            w = ev.weights[mover]
-            for j in ev.spaces[mover][0]:
-                loads[j] += w
-        else:
-            active.append(mover)
-    return loads, choices, active
-
-
-def _solve_deterministic(ev: Evaluator, order, collect=None):
-    loads, choices, active = _prepare(ev, order)
-    spaces = ev.spaces
-    weights = ev.weights
+    Exhaustive mode keeps every outcome achievable under some tie-breaking;
+    deterministic mode keeps the first child best for the mover, which is
+    lexicographic tie-breaking.  With `collect`, each subgame's outcomes are
+    stored under its prefix: the choices of every mover before the real
+    decision that starts it (singletons choose 0).
+    """
+    loads, choices, active = ev.preplace(order)
+    spaces, weights = ev.spaces, ev.weights
     depth = len(active)
-    prefix: list[int] = []
-    track = collect is not None
-    if track:
-        full_prefix = _prefix_expander(ev, order, prefix)
-
-    def walk(t: int):
-        if t == depth:
-            return tuple(choices), ev.utilities_scaled(choices, loads)
-        mover = active[t]
-        w = weights[mover]
-        best = None
-        for s in range(len(spaces[mover])):
-            choices[mover] = s
-            for j in spaces[mover][s]:
-                loads[j] += w
-            if track:
-                prefix.append(s)
-            out = walk(t + 1)
-            if track:
-                prefix.pop()
-            for j in spaces[mover][s]:
-                loads[j] -= w
-            if best is None or out[1][mover] > best[1][mover]:
-                best = out
-        if track:
-            collect[full_prefix()] = [best]
-        return best
-
-    return [walk(0)]
-
-
-def _prefix_expander(ev: Evaluator, order, prefix):
-    """Reported prefixes range over all movers (singletons choose 0); the
-    prefix at active-depth t covers every mover before the t-th real
-    decision."""
-    is_active = [len(ev.spaces[mover]) > 1 for mover in order]
-    cut = [q for q, flag in enumerate(is_active) if flag] + [len(order)]
-
-    def full_prefix() -> tuple[int, ...]:
-        it = iter(prefix)
-        return tuple(
-            next(it) if is_active[q] else 0 for q in range(cut[len(prefix)])
-        )
-
-    return full_prefix
-
-
-def _solve_exhaustive(ev: Evaluator, order, collect=None):
-    loads, choices, active = _prepare(ev, order)
-    spaces = ev.spaces
-    weights = ev.weights
-    depth = len(active)
-    prefix: list[int] = []
-    track = collect is not None
-    if track:
-        full_prefix = _prefix_expander(ev, order, prefix)
+    cut = [order.index(mover) for mover in active]
 
     def walk(t: int):
         if t == depth:
@@ -174,29 +105,28 @@ def _solve_exhaustive(ev: Evaluator, order, collect=None):
         mover = active[t]
         w = weights[mover]
         children = []
-        for s in range(len(spaces[mover])):
+        for s, nodes in enumerate(spaces[mover]):
             choices[mover] = s
-            for j in spaces[mover][s]:
+            for j in nodes:
                 loads[j] += w
-            if track:
-                prefix.append(s)
             children.append(walk(t + 1))
-            if track:
-                prefix.pop()
-            for j in spaces[mover][s]:
+            for j in nodes:
                 loads[j] -= w
-        # The mover can force at least the best adversarial continuation
-        # value, so only outcomes meeting that threshold are achievable.
-        if len(children) == 1:
-            merged = children[0]
-        else:
+        if exhaustive:
+            # The mover can force at least the best adversarial continuation
+            # value, so only outcomes meeting that threshold are achievable.
             threshold = max(min(u[mover] for _, u in sub) for sub in children)
             merged = [o for sub in children for o in sub if o[1][mover] >= threshold]
-        if track:
-            collect[full_prefix()] = list(merged)
+        else:
+            merged = max(children, key=lambda sub: sub[0][1][mover])
+        if collect is not None:
+            collect[tuple(choices[m] for m in order[:cut[t]])] = merged
         return merged
 
-    return walk(0)
+    try:
+        return walk(0)
+    finally:
+        del walk  # the closure refers to itself; free the Evaluator now, not at gc
 
 
 def _achievable(ev: Evaluator, order, agent: int | None = None):
@@ -205,10 +135,10 @@ def _achievable(ev: Evaluator, order, agent: int | None = None):
 
     Returns the root's outcome ids and `finals`, where ``finals[id]`` is
     the leaf's final loads and `agent`'s choice in it (0 without `agent`).
-    The root's ids stand for the outcomes `_solve_exhaustive` returns, with
+    The root's ids stand for the outcomes exhaustive `_solve` returns, with
     outcomes that agree on both merged into one.
     """
-    loads, choices, active = _prepare(ev, order)
+    loads, choices, active = ev.preplace(order)
     spaces, weights, terms, share = ev.spaces, ev.weights, ev.terms, ev.share
     depth = len(active)
     # from this depth on, the queried agent's choice is part of the state
@@ -275,16 +205,12 @@ def spe_solve(
     """
     if mode not in ("deterministic", "exhaustive"):
         raise ValueError(f"invalid mode {mode!r}")
-    _check_budget(game, budget)
+    _check_budget(game.instance, budget)
     ev = Evaluator(game.instance)
     collect: dict | None = None
     if subgame_values and _prefix_count(game) <= budget:
         collect = {}
-    if mode == "deterministic":
-        raw = _solve_deterministic(ev, game.order, collect=collect)
-    else:
-        raw = _solve_exhaustive(ev, game.order, collect=collect)
-        raw.sort(key=lambda o: o[0])
+    raw = sorted(_solve(ev, game.order, mode == "exhaustive", collect))
     outcomes = tuple(_to_outcome(ev, c, u) for c, u in raw)
     values = None
     if collect is not None:
@@ -321,7 +247,7 @@ def spe_decision(
     if not 0 <= agent < game.instance.num_agents:
         raise IndexError(f"agent index {agent} out of range")
     threshold = Fraction(threshold)
-    _check_budget(game, budget)
+    _check_budget(game.instance, budget)
     ev = Evaluator(game.instance)
     roots, finals = _achievable(ev, game.order, agent)
     terms, share = ev.terms[agent], ev.share
@@ -335,7 +261,7 @@ def spe_decision(
 def spoa(game: SequentialGame, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Optimal welfare divided by the welfare of the worst subgame-perfect
     outcome under any tie-breaking."""
-    _check_budget(game, budget)
+    _check_budget(game.instance, budget)
     ev = Evaluator(game.instance)
     roots, finals = _achievable(ev, game.order)
     worst = min(ev.welfare(finals[o][0]) for o in roots)

@@ -211,5 +211,18 @@ def test_invalid_configs_rejected(example1):
                      DynamicsConfig(mode="epsilon", tie_break="random"))
 
 
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+def test_alpha_mode_rejects_non_finite_alpha(example1, alpha):
+    cfg = DynamicsConfig(mode="alpha", alpha=alpha, allow_any_alpha=True)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        run_dynamics(example1, StrategyProfile((0, 0, 0)), cfg)
+
+
+def test_alpha_mode_accepts_exact_alpha_beyond_float_range(example1):
+    cfg = DynamicsConfig(mode="alpha", alpha=Fraction(10**400), allow_any_alpha=True)
+    trace = run_dynamics(example1, StrategyProfile((0, 0, 0)), cfg)
+    assert trace.termination == "converged"
+
+
 def test_min_alpha_formula(example1):
     assert min_alpha(example1) == math.log(5) + 1

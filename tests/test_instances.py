@@ -91,3 +91,10 @@ def test_generator_is_deterministic_and_valid():
         assert validate_instance(first).ok
     with pytest.raises(ValueError):
         gen_random("mystery", seed=0)
+
+
+@pytest.mark.parametrize("bound", ["max_strategy_size", "max_weight", "max_value"])
+def test_generator_rejects_bounds_below_one(bound):
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match=f"{bound} must be at least 1"):
+            gen_random("asymmetric", seed=0, **{bound: bad})

@@ -34,6 +34,8 @@ def test_rational_strings():
     assert io.parse_rational("4") == 4
     with pytest.raises(ValueError):
         io.parse_rational("1/2/3")
+    with pytest.raises(ValueError, match="zero denominator"):
+        io.parse_rational("1/0")
 
 
 @given(instances())
@@ -326,6 +328,30 @@ def test_cli_rejects_empty_strategy_space(tmp_path, capsys, command):
     path.write_text(_one_node_instance(strategies=()))
     assert run_cli([command[0], str(path), *command[1:]]) == 2
     assert "empty strategy space" in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--eps", "1/0"], "zero denominator"),
+        (["--mode", "alpha", "--alpha", "inf"], "alpha must be finite"),
+        (["--mode", "alpha", "--alpha", "nan"], "alpha must be finite"),
+        (
+            ["--mode", "alpha", "--alpha", "nan", "--allow-any-alpha"],
+            "alpha must be finite",
+        ),
+    ],
+    ids=["eps-1/0", "alpha-inf", "alpha-nan", "alpha-nan-allow-any"],
+)
+def test_cli_dynamics_rejects_bad_eps_and_alpha(example1_file, capsys, flags, message):
+    assert run_cli(["dynamics", str(example1_file), *flags]) == 2
+    assert message in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("flag", ["--max-strategy-size", "--max-weight", "--max-value"])
+def test_cli_gen_rejects_bounds_below_one(capsys, flag):
+    assert run_cli(["gen", "--kind", "asymmetric", "--seed", "1", flag, "0"]) == 2
+    assert "must be at least 1" in _single_error_line(capsys)
 
 
 def test_cli_missing_file_is_input_error(capsys):

@@ -35,6 +35,18 @@ def test_poa_lower_bounds_match_closed_form():
         assert Fraction(ratio) == expected, (n, m)
 
 
+@pytest.mark.parametrize("eps", ["0", "-1/2", "abc", "1/0"])
+def test_dynamics_convergence_rejects_bad_eps(eps):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "dynamics_convergence.py"),
+         f"--eps={eps}"],
+        env=src_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr, done.stderr
+    assert "argument --eps" in done.stderr
+
+
 @pytest.mark.parametrize("name", SCRIPTS)
 def test_script_exits_quietly_when_reader_stops(name):
     """Like `script | head -1`: the reader closes the pipe after one line."""

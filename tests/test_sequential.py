@@ -1,6 +1,7 @@
 import gc
 import itertools
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -251,6 +252,70 @@ def test_memoized_walk_matches_exhaustive_reference(game):
         assert not spe_decision(game, agent, best + Fraction(1, 10**6)), agent
 
 
+def fraction_backward_induction(game: SequentialGame) -> dict:
+    """Independent oracle: backward induction in `Fraction`s over every
+    mover in order, single-strategy movers included.
+
+    Maps each prefix of choices, in move order, to the outcomes achievable
+    under some tie-breaking, sorted, and the outcome under lexicographic
+    tie-breaking; an outcome is (choices, utilities)."""
+    inst, order = game.instance, game.order
+    m = inst.num_agents
+    table = {}
+
+    def solve(prefix):
+        if len(prefix) == m:
+            choices = [0] * m
+            for mover, c in zip(order, prefix):
+                choices[mover] = c
+            profile = StrategyProfile(tuple(choices))
+            leaf = (profile.choices, tuple(utility(inst, profile, i) for i in range(m)))
+            return [leaf], leaf
+        mover = order[len(prefix)]
+        kids = [
+            solve(prefix + (s,)) for s in range(len(inst.agents[mover].strategies))
+        ]
+        threshold = max(min(u[mover] for _, u in sub) for sub, _ in kids)
+        achievable = sorted(
+            o for sub, _ in kids for o in sub if o[1][mover] >= threshold
+        )
+        first = kids[0][1]
+        for _, best in kids[1:]:
+            if best[1][mover] > first[1][mover]:
+                first = best
+        table[prefix] = (achievable, first)
+        return achievable, first
+
+    solve(())
+    return table
+
+
+def _pairs(outcomes):
+    return [(o.profile.choices, o.utilities) for o in outcomes]
+
+
+@settings(max_examples=200, deadline=None)
+@given(colliding_games())
+@example(SWAPPED_CHOICES)
+def test_plain_walk_matches_fraction_backward_induction(game):
+    """spe_solve in both modes, outcomes and subgame values, against the
+    oracle.  Subgame values are keyed by the prefix before each real
+    decision, i.e. each mover with at least two strategies."""
+    table = fraction_backward_induction(game)
+    spaces = game.instance.agents
+    real = {p for p in table if len(spaces[game.order[len(p)]].strategies) > 1}
+    exhaustive = spe_solve(game, mode="exhaustive", subgame_values=True)
+    assert _pairs(exhaustive.outcomes) == table[()][0]
+    assert set(exhaustive.subgame_values) == real
+    for prefix, outcomes in exhaustive.subgame_values.items():
+        assert _pairs(outcomes) == table[prefix][0], prefix
+    deterministic = spe_solve(game, mode="deterministic", subgame_values=True)
+    assert _pairs(deterministic.outcomes) == [table[()][1]]
+    assert set(deterministic.subgame_values) == real
+    for prefix, outcomes in deterministic.subgame_values.items():
+        assert _pairs(outcomes) == [table[prefix][1]], prefix
+
+
 def test_calls_leave_no_cyclic_garbage():
     """A recursive walk left as a reference cycle would keep its tables and
     Evaluator alive until the cyclic collector runs."""
@@ -261,6 +326,11 @@ def test_calls_leave_no_cyclic_garbage():
         "spoa": lambda: spoa(game),
         "spe_decision": lambda: spe_decision(game, 0, 1),
     }
+    for mode in ("deterministic", "exhaustive"):
+        for values in (False, True):
+            calls[f"spe_solve {mode} subgame_values={values}"] = partial(
+                spe_solve, game, mode=mode, subgame_values=values
+            )
     gc.collect()
     gc.disable()
     try:
