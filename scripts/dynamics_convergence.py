@@ -26,11 +26,21 @@ def positive_rational(text: str) -> Fraction:
     return value
 
 
+def positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--instances", type=int, default=50)
-    parser.add_argument("--agents", type=int, default=4)
-    parser.add_argument("--nodes", type=int, default=10)
+    parser.add_argument("--instances", type=positive_int, default=50)
+    parser.add_argument("--agents", type=positive_int, default=4)
+    parser.add_argument("--nodes", type=positive_int, default=10)
     parser.add_argument(
         "--eps", type=positive_rational, default="1/10", help="rational like 1/10"
     )

@@ -9,6 +9,17 @@ Two modes are provided:
   which exceeds ``epsilon / m``, so the run converges within
   ``ceil(total_value * H(m) * m / epsilon)`` steps.
 
+  The run keeps a table ``U[i][s]``: agent i's scaled utility if it plays
+  s while the others stay fixed, so ``U[i][choices[i]]`` is its current
+  utility and each step is read off the rows.  One move changes the load
+  of only the nodes in ``S_old ^ S_new``, each by one, so after a move
+  only the entries of other agents' strategies through those nodes change,
+  by ``v_j * (share[c' + x] - share[c + x])`` with ``x = 1`` iff node j is
+  outside that agent's current strategy.  The mover's own row stays as it
+  is: each entry counts the others' load plus the mover once, whatever the
+  mover plays.  So the rows are scored once per run, and a step costs the
+  entries through the moved nodes plus a max over each row.
+
 * ``alpha``: for weighted instances.  While some agent can multiply its
   utility by more than ``alpha``, the first such deviation in lexicographic
   (agent, strategy) order is applied.  With
@@ -25,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .engine import Evaluator
 from .model import Instance, StrategyProfile, check_profile
@@ -86,9 +98,10 @@ def best_response(
         raise IndexError(f"agent index {agent} out of range")
     ev = Evaluator(inst)
     choices = profile.choices
-    loads = ev.loads(choices)
-    current = ev.utility_scaled(choices, loads, agent)
-    choice, best = ev.best_deviation(choices, loads, agent)
+    row = ev.deviation_row(choices, ev.loads(choices), agent)
+    current = row[choices[agent]]
+    best = max(row)
+    choice = choices[agent] if best == current else row.index(best)
     return choice, ev.frac(best - current)
 
 
@@ -148,30 +161,29 @@ def run_dynamics(
     if cfg.mode == "epsilon":
         # improvement test: dev * q > cur * (q + p)  <=>  dev > (1+eps) cur
         p, q = cfg.epsilon.numerator, cfg.epsilon.denominator
-        select = _max_gain_step
-        args = (p, q)
+        table = [ev.deviation_row(choices, loads, i) for i in range(ev.num_agents)]
+        select = partial(_max_row_gain, table, choices, p, q)
+        move = partial(
+            _move_unit, ev, choices, loads, table, _watchers(ev), ev.share + [0]
+        )
     else:
         alpha = Fraction(cfg.alpha)
-        select = Evaluator.first_improvement
-        args = (alpha.numerator, alpha.denominator)
+        select = partial(
+            ev.first_improvement, choices, loads, alpha.numerator, alpha.denominator
+        )
+        move = partial(_move, ev, choices, loads)
 
     termination = "step-limit"
     for _ in range(cfg.max_steps):
-        step = select(ev, choices, loads, *args)
+        step = select()
         if step is None:
             termination = "converged"
             break
         agent, new_choice, gain = step
-        old_choice = choices[agent]
-        steps.append(DynamicsStep(agent, old_choice, new_choice, ev.frac(gain)))
-        w = ev.weights[agent]
-        for j in ev.spaces[agent][old_choice]:
-            loads[j] -= w
-        choices[agent] = new_choice
-        for j in ev.spaces[agent][new_choice]:
-            loads[j] += w
+        steps.append(DynamicsStep(agent, choices[agent], new_choice, ev.frac(gain)))
+        move(agent, new_choice)
     else:
-        if select(ev, choices, loads, *args) is None:
+        if select() is None:
             termination = "converged"
 
     return DynamicsTrace(
@@ -182,24 +194,71 @@ def run_dynamics(
     )
 
 
-def _max_gain_step(ev: Evaluator, choices, loads, p: int, q: int):
+def _move(ev: Evaluator, choices, loads, agent: int, new_choice: int) -> None:
+    w = ev.weights[agent]
+    for j in ev.spaces[agent][choices[agent]]:
+        loads[j] -= w
+    choices[agent] = new_choice
+    for j in ev.spaces[agent][new_choice]:
+        loads[j] += w
+
+
+def _watchers(ev: Evaluator):
+    """Per node: (agent, indices of that agent's strategies through it)."""
+    by_node = [{} for _ in range(ev.num_nodes)]
+    for i, space in enumerate(ev.spaces):
+        for s, nodes in enumerate(space):
+            for j in nodes:
+                by_node[j].setdefault(i, []).append(s)
+    return [list(agents.items()) for agents in by_node]
+
+
+def _move_unit(
+    ev: Evaluator, choices, loads, table, watchers, share, agent: int, new_choice: int
+) -> None:
+    """Move a unit-weight agent, keeping every row of `table` exact.
+
+    `share` is ``ev.share`` with one trailing 0, so the off-node delta can
+    be formed even at a node every potential attractor is on; it is used
+    only by an agent off the node, and then the load it reads is reachable.
+    """
+    sets, values = ev.space_sets, ev.values
+    old_nodes = sets[agent][choices[agent]]
+    for j in old_nodes ^ sets[agent][new_choice]:
+        c = loads[j]
+        after = c - 1 if j in old_nodes else c + 1
+        loads[j] = after
+        v = values[j]
+        # an agent off node j would add itself to the node's load
+        on = v * (share[after] - share[c])
+        off = v * (share[after + 1] - share[c + 1])
+        for i, strategies in watchers[j]:
+            if i == agent:
+                continue  # the mover's row does not depend on where it plays
+            delta = on if j in sets[i][choices[i]] else off
+            row = table[i]
+            for s in strategies:
+                row[s] += delta
+    choices[agent] = new_choice
+
+
+def _max_row_gain(table, choices, p: int, q: int):
     """Globally maximal-gain deviation, or None once the profile is a
-    (1 + p/q)-approximate equilibrium.  Ties break on (agent, strategy)."""
+    (1 + p/q)-approximate equilibrium.  Ties break on (agent, strategy):
+    an improving deviation has positive gain, so the current choice, worth
+    no gain, never wins."""
     best_gain = 0
     best = None
     improvable = False
-    for i in range(ev.num_agents):
-        current = ev.utility_scaled(choices, loads, i)
-        for alt in range(len(ev.spaces[i])):
-            if alt == choices[i]:
-                continue
-            dev = ev.deviation_scaled(choices, loads, i, alt)
-            if dev * q > current * (q + p):
+    for i, row in enumerate(table):
+        top = max(row)
+        current = row[choices[i]]
+        if top > current:
+            if top * q > current * (q + p):
                 improvable = True
-            gain = dev - current
-            if gain > best_gain:
-                best_gain, best = gain, (i, alt, gain)
+            if top - current > best_gain:
+                best_gain = top - current
+                best = (i, row.index(top), best_gain)
     if not improvable:
         return None
     return best
-

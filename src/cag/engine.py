@@ -30,8 +30,9 @@ class Evaluator:
 
     def __init__(self, inst: Instance):
         """Raises ValueError on a non-positive weight, an empty strategy
-        space or strategy, or a node index out of range; the remaining
-        `validate_instance` checks do not affect evaluation."""
+        space or strategy, a strategy naming a node twice, or a node index
+        out of range; the remaining `validate_instance` checks do not affect
+        evaluation."""
         self.instance = inst
         self.num_nodes = inst.num_nodes
         self.num_agents = inst.num_agents
@@ -43,7 +44,7 @@ class Evaluator:
         ]
 
         attracts = []  # per agent: every node it could attract
-        for a in inst.agents:
+        for a, node_sets in zip(inst.agents, self.space_sets):
             if a.weight < 1:
                 raise ValueError(
                     f"invalid-instance: agent {a.id!r} has non-positive "
@@ -56,6 +57,12 @@ class Evaluator:
             if not all(a.strategies):
                 raise ValueError(
                     f"invalid-instance: agent {a.id!r} has an empty strategy"
+                )
+            # a node listed twice would count twice in a load, once in `reach`
+            if any(len(f) != len(s) for f, s in zip(node_sets, a.strategies)):
+                raise ValueError(
+                    f"invalid-instance: agent {a.id!r} has a strategy that "
+                    "names a node twice"
                 )
             attracts.append(set().union(*a.strategies))
         every = set().union(*attracts)
@@ -92,12 +99,10 @@ class Evaluator:
         if all(w == 1 for w in self.weights):
             self.harmonic = list(itertools.accumulate(self.share))
         # per (agent, strategy): (node, weight * value) pairs for fast sums
+        values = self.values
         self.terms = [
-            [
-                tuple((j, a.weight * inst.nodes[j].value) for j in s)
-                for s in a.strategies
-            ]
-            for a in inst.agents
+            [tuple([(j, w * values[j]) for j in s]) for s in space]
+            for w, space in zip(self.weights, self.spaces)
         ]
 
     def frac(self, scaled: int) -> Fraction:
@@ -159,21 +164,14 @@ class Evaluator:
         values = self.values
         return sum(values[j] * harmonic[c] for j, c in enumerate(loads) if c > 0)
 
-    def best_deviation(self, choices, loads, agent: int) -> tuple[int, int]:
-        """(choice, scaled utility) maximizing the agent's utility.
-
-        Keeps the current choice unless some alternative is strictly better;
-        among strictly better alternatives, ties go to the smallest index.
-        """
-        best_choice = choices[agent]
-        best = self.utility_scaled(choices, loads, agent)
-        for alt in range(len(self.spaces[agent])):
-            if alt == choices[agent]:
-                continue
-            u = self.deviation_scaled(choices, loads, agent, alt)
-            if u > best:
-                best, best_choice = u, alt
-        return best_choice, best
+    def deviation_row(self, choices, loads, agent: int) -> list[int]:
+        """Scaled utility of `agent` under each of its strategies, with
+        everyone else fixed; the entry at its current choice is its current
+        utility."""
+        return [
+            self.deviation_scaled(choices, loads, agent, s)
+            for s in range(len(self.spaces[agent]))
+        ]
 
     def preplace(self, order):
         """Loads with every single-strategy agent placed, all-zero choices,

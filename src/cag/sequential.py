@@ -37,7 +37,7 @@ from fractions import Fraction
 
 from .engine import Evaluator
 from .equilibria import DEFAULT_BUDGET, _check_budget
-from .model import Instance, StrategyProfile
+from .model import BudgetError, Instance, StrategyProfile
 
 __all__ = [
     "SequentialGame",
@@ -202,14 +202,22 @@ def spe_solve(
 
     Deterministic mode returns exactly one outcome.  Exhaustive mode returns
     every outcome achievable under some tie-breaking, sorted by profile.
+    Raises BudgetError when the profiles, or with `subgame_values` the
+    game-tree prefixes, outnumber `budget`.
     """
     if mode not in ("deterministic", "exhaustive"):
         raise ValueError(f"invalid mode {mode!r}")
     _check_budget(game.instance, budget)
-    ev = Evaluator(game.instance)
     collect: dict | None = None
-    if subgame_values and _prefix_count(game) <= budget:
+    if subgame_values:
+        prefixes = _prefix_count(game)
+        if prefixes > budget:
+            raise BudgetError(
+                f"search-space-too-large: {prefixes} game-tree prefixes exceed "
+                f"budget {budget}"
+            )
         collect = {}
+    ev = Evaluator(game.instance)
     raw = sorted(_solve(ev, game.order, mode == "exhaustive", collect))
     outcomes = tuple(_to_outcome(ev, c, u) for c, u in raw)
     values = None

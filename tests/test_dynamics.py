@@ -1,7 +1,10 @@
+import gc
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cag import (
     DynamicsConfig,
@@ -16,7 +19,7 @@ from cag import (
     run_dynamics,
     utility,
 )
-from cag.dynamics import epsilon_step_bound
+from cag.dynamics import DynamicsStep, DynamicsTrace, epsilon_step_bound
 from cag.potentials import rosenthal_potential
 
 
@@ -130,6 +133,19 @@ def test_epsilon_mode_handles_weighted_values():
     assert is_approx_pne(inst, trace.final, 1 + eps)
 
 
+def test_epsilon_mode_gain_of_exactly_epsilon_is_stable():
+    # 3 = (1 + 1/2) * 2: not an improvement by more than 1 + epsilon
+    inst = Instance.build(
+        nodes=[("q1", 2), ("q2", 3)], agents=[("a1", 1, [[0], [1]])]
+    )
+    cfg = DynamicsConfig(mode="epsilon", epsilon=Fraction(1, 2), max_steps=10)
+    trace = run_dynamics(inst, StrategyProfile((0,)), cfg)
+    assert trace.termination == "converged"
+    assert trace.steps == ()
+    cfg = DynamicsConfig(mode="epsilon", epsilon=Fraction(1, 3), max_steps=10)
+    assert run_dynamics(inst, StrategyProfile((0,)), cfg).final.choices == (1,)
+
+
 def test_epsilon_mode_rejects_weighted_agents(example1):
     cfg = DynamicsConfig(mode="epsilon", epsilon=Fraction(1, 2))
     with pytest.raises(ValueError, match="weighted-agents-unsupported"):
@@ -226,3 +242,97 @@ def test_alpha_mode_accepts_exact_alpha_beyond_float_range(example1):
 
 def test_min_alpha_formula(example1):
     assert min_alpha(example1) == math.log(5) + 1
+
+
+@st.composite
+def overlapping_unit_games(draw):
+    """Unit-weight games whose strategies come mostly from a few shared node
+    sets, so spaces repeat node sets and rows tie; some agents have a
+    single strategy.  Returns (instance, random start)."""
+    n = draw(st.integers(1, 6))
+    node_set = st.sets(st.integers(0, n - 1), min_size=1, max_size=4).map(
+        lambda s: tuple(sorted(s))
+    )
+    shared = draw(st.lists(node_set, min_size=1, max_size=3))
+    strategy = st.one_of(st.sampled_from(shared), node_set)
+    nodes = [(f"q{j + 1}", draw(st.integers(1, 5))) for j in range(n)]
+    agents = []
+    for i in range(draw(st.integers(1, 6))):
+        space = draw(st.lists(strategy, min_size=1, max_size=5))
+        agents.append((f"a{i + 1}", 1, space))
+    inst = Instance.build(nodes, agents)
+    start = tuple(draw(st.integers(0, len(a.strategies) - 1)) for a in inst.agents)
+    return inst, StrategyProfile(start)
+
+
+def _reference_epsilon_trace(inst, start, eps, max_steps):
+    """Epsilon dynamics in `Fraction`s on `model.utility`: the globally
+    largest gain, ties to the smallest (agent, strategy), taken while some
+    deviation beats (1 + eps) times the deviator's utility."""
+    choices = list(start.choices)
+
+    def select():
+        profile = StrategyProfile(tuple(choices))
+        best, improvable = None, False
+        for i, agent in enumerate(inst.agents):
+            current = utility(inst, profile, i)
+            for alt in range(len(agent.strategies)):
+                if alt == choices[i]:
+                    continue
+                moved = tuple(alt if k == i else c for k, c in enumerate(choices))
+                dev = utility(inst, StrategyProfile(moved), i)
+                if dev > (1 + eps) * current:
+                    improvable = True
+                if dev > current and (best is None or dev - current > best[2]):
+                    best = (i, alt, dev - current)
+        return best if improvable else None
+
+    steps = []
+    for _ in range(max_steps):
+        step = select()
+        if step is None:
+            break
+        agent, alt, gain = step
+        steps.append(DynamicsStep(agent, choices[agent], alt, gain))
+        choices[agent] = alt
+    termination = "converged" if select() is None else "step-limit"
+    return DynamicsTrace(start, tuple(steps), StrategyProfile(tuple(choices)),
+                         termination)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    overlapping_unit_games(),
+    st.sampled_from([Fraction(0), Fraction(1, 100), Fraction(1, 2), Fraction(3)]),
+    st.integers(1, 40),
+)
+def test_epsilon_trace_matches_fraction_reference(game, eps, max_steps):
+    inst, start = game
+    cfg = DynamicsConfig(mode="epsilon", epsilon=eps, max_steps=max_steps)
+    assert run_dynamics(inst, start, cfg) == _reference_epsilon_trace(
+        inst, start, eps, max_steps
+    )
+
+
+def test_dynamics_leave_no_cyclic_garbage():
+    """Both modes and best_response free their tables without the cyclic
+    collector."""
+    unit = gen_random("s-asymmetric", seed=5, num_nodes=10, num_agents=6,
+                      num_strategies=4, max_strategy_size=4)
+    weighted = gen_random("asymmetric", seed=5, num_nodes=6, num_agents=3,
+                          num_strategies=3, max_weight=9, max_value=5)
+    epsilon = DynamicsConfig(mode="epsilon", epsilon=Fraction(1, 100))
+    alpha = DynamicsConfig(mode="alpha", alpha=min_alpha(weighted))
+    calls = {
+        "epsilon": lambda: run_dynamics(unit, StrategyProfile((0,) * 6), epsilon),
+        "alpha": lambda: run_dynamics(weighted, StrategyProfile((0,) * 3), alpha),
+        "best_response": lambda: best_response(unit, StrategyProfile((0,) * 6), 0),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            call()
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()

@@ -231,9 +231,10 @@ def test_dropping_nodes_never_helps(case):
         [("a1", 1, [[0], []])],
         [("a1", 1, [[0, 2]])],
         [("a1", 1, [[-1]])],
+        [("a1", 1, [[1], [0, 0]])],
     ],
     ids=["zero-weight", "negative-weight", "empty-space", "empty-strategy",
-         "node-too-large", "negative-node"],
+         "node-too-large", "negative-node", "repeated-node"],
 )
 def test_evaluator_rejects_invalid_instances(agents):
     inst = Instance.build([("q1", 1), ("q2", 1)], agents)

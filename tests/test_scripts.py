@@ -47,6 +47,19 @@ def test_dynamics_convergence_rejects_bad_eps(eps):
     assert "argument --eps" in done.stderr
 
 
+@pytest.mark.parametrize("arg", ["--instances=0", "--instances=-1", "--agents=0",
+                                 "--nodes=0", "--nodes=x"])
+def test_dynamics_convergence_rejects_bad_sizes(arg):
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "dynamics_convergence.py"), arg],
+        env=src_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr, done.stderr
+    assert f"argument {arg.split('=')[0]}" in done.stderr
+    assert done.stdout == ""
+
+
 @pytest.mark.parametrize("name", SCRIPTS)
 def test_script_exits_quietly_when_reader_stops(name):
     """Like `script | head -1`: the reader closes the pipe after one line."""

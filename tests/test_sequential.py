@@ -352,6 +352,21 @@ def test_subgame_values_collected():
     assert follower == {(0, 0), (0, 1)}
 
 
+def test_subgame_values_over_budget_refused():
+    """Seven game-tree prefixes but four profiles: the prefixes are what the
+    subgame table stores, so they are what the budget must cover."""
+    game = build_named_instance("spoa-two-agent")
+    with pytest.raises(BudgetError, match="^search-space-too-large: "):
+        spe_solve(game, mode="exhaustive", budget=4, subgame_values=True)
+
+
+def test_subgame_values_within_budget_returned():
+    game = build_named_instance("spoa-two-agent")
+    result = spe_solve(game, mode="exhaustive", budget=7, subgame_values=True)
+    assert result.subgame_values is not None
+    assert () in result.subgame_values
+
+
 def test_budget_guard():
     game = build_named_instance("spoa-family", m=4)
     with pytest.raises(BudgetError, match="search-space-too-large"):
