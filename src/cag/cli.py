@@ -210,31 +210,56 @@ def _cmd_spoa(args) -> int:
     return 0
 
 
+# the flags each gadget kind reads (a named instance rejects the parameters
+# it does not take); a reduction also reads its input file
+_GADGET_FLAGS = dict.fromkeys(NAMED_INSTANCES, ("--n", "--m")) | {
+    "maxcut": ("--instance-only",),
+    "3dm": ("--instance-only", "--symmetrize"),
+    "tqbf": ("--instance-only", "--pad"),
+    "symmetrize": ("--instance-only", "--split"),
+    "unionize": ("--instance-only",),
+    "split": ("--instance-only",),
+}
+
+
 def _cmd_gadget(args) -> int:
     kind = args.kind
+    if kind not in _GADGET_FLAGS:
+        raise ValueError(f"unknown gadget kind {kind!r}")
+    given = {
+        "--n": args.n is not None,
+        "--m": args.m is not None,
+        "--symmetrize": args.symmetrize,
+        "--split": args.split,
+        "--pad": args.pad,
+        "--instance-only": args.instance_only,
+    }
+    stray = [f for f, on in given.items() if on and f not in _GADGET_FLAGS[kind]]
+    if stray:
+        raise ValueError(f"gadget {kind} does not take {', '.join(stray)}")
     if kind in NAMED_INSTANCES:
-        built = build_named_instance(kind, n=args.n, m=args.m)
-        _emit(args, _dump_built(built))
+        if args.input is not None:
+            raise ValueError(f"gadget {kind} takes no input file")
+        _emit(args, _dump_built(build_named_instance(kind, n=args.n, m=args.m)))
         return 0
+    if args.input is None:
+        raise ValueError(f"gadget {kind} requires an input file")
+    text = _read(args.input)
     if kind == "maxcut":
-        red = maxcut_to_cag(io.loads_graph(_read(args.input)))
+        red = maxcut_to_cag(io.loads_graph(text))
     elif kind == "3dm":
-        red = tdm_to_cag(io.loads_tdm(_read(args.input)), symmetrize=args.symmetrize)
+        red = tdm_to_cag(io.loads_tdm(text), symmetrize=args.symmetrize)
     elif kind == "tqbf":
-        formula = io.loads_tqbf(_read(args.input))
+        formula = io.loads_tqbf(text)
         if args.pad:
             formula = pad_tqbf(formula)
         red = tqbf_to_cag(formula)
     elif kind == "symmetrize":
-        red = symmetrize_weighted(
-            io.loads_instance(_read(args.input)), split=args.split
-        )
+        red = symmetrize_weighted(io.loads_instance(text), split=args.split)
     elif kind == "unionize":
-        red = unionize_strategies(io.loads_instance(_read(args.input)))
-    elif kind == "split":
-        red = split_unit_values(io.loads_instance(_read(args.input)))
+        red = unionize_strategies(io.loads_instance(text))
     else:
-        raise ValueError(f"unknown gadget kind {kind!r}")
+        red = split_unit_values(io.loads_instance(text))
     if args.instance_only:
         _emit(args, _dump_built(red.instance))
         return 0

@@ -40,6 +40,7 @@ from functools import partial
 
 from .engine import Evaluator
 from .model import Instance, StrategyProfile, check_profile
+from .potentials import HarmonicTable
 
 __all__ = [
     "DynamicsConfig",
@@ -65,7 +66,6 @@ class DynamicsConfig:
     alpha: float = 1.0
     max_steps: int = 100_000
     allow_any_alpha: bool = False
-    tie_break: str = "lexicographic"
 
 
 @dataclass(frozen=True)
@@ -111,16 +111,13 @@ def epsilon_step_bound(inst: Instance, epsilon: Fraction) -> int:
     if epsilon <= 0:
         raise ValueError("step bound requires epsilon > 0")
     m = inst.num_agents
-    harmonic = sum(Fraction(1, k) for k in range(1, m + 1))
-    bound = Fraction(sum(inst.values)) * harmonic * m / epsilon
+    bound = Fraction(sum(inst.values)) * HarmonicTable(m)[m] * m / epsilon
     return -(-bound.numerator // bound.denominator)
 
 
 def _check_config(inst: Instance, cfg: DynamicsConfig) -> None:
     if cfg.mode not in ("epsilon", "alpha"):
         raise ValueError(f"invalid dynamics mode {cfg.mode!r}")
-    if cfg.tie_break != "lexicographic":
-        raise ValueError(f"unsupported tie-break rule {cfg.tie_break!r}")
     if cfg.max_steps < 1:
         raise ValueError("max_steps must be positive")
     if cfg.mode == "epsilon":

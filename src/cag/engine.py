@@ -16,7 +16,6 @@ The engine is read-only after construction and safe to share.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import lcm
 
@@ -29,10 +28,18 @@ class Evaluator:
     """Precomputed tables for exact profile evaluation on one instance."""
 
     def __init__(self, inst: Instance):
-        """Raises ValueError on a non-positive weight, an empty strategy
-        space or strategy, a strategy naming a node twice, or a node index
-        out of range; the remaining `validate_instance` checks do not affect
-        evaluation."""
+        """Raises ValueError on no agents, a non-positive value or weight,
+        an empty strategy space or strategy, a strategy naming a node twice,
+        or a node index out of range; the remaining `validate_instance`
+        checks do not affect evaluation."""
+        if not inst.agents:
+            raise ValueError("invalid-instance: the instance has no agents")
+        for node in inst.nodes:
+            if node.value < 1:
+                raise ValueError(
+                    f"invalid-instance: node {node.id!r} has non-positive "
+                    f"value {node.value}"
+                )
         self.instance = inst
         self.num_nodes = inst.num_nodes
         self.num_agents = inst.num_agents
@@ -93,11 +100,6 @@ class Evaluator:
         self.share = [0] * len(bits)
         for c in reachable:
             self.share[c] = self.den // c
-        # harmonic[k] = den * (1 + 1/2 + ... + 1/k); only unit-weight loads
-        # count agents, and only there is every load 1..max reachable
-        self.harmonic = None
-        if all(w == 1 for w in self.weights):
-            self.harmonic = list(itertools.accumulate(self.share))
         # per (agent, strategy): (node, weight * value) pairs for fast sums
         values = self.values
         self.terms = [
@@ -151,18 +153,6 @@ class Evaluator:
     def welfare(self, loads) -> int:
         values = self.values
         return sum(values[j] for j, c in enumerate(loads) if c > 0)
-
-    def potential_scaled(self, loads) -> int:
-        """Scaled value-weighted harmonic potential; defined only for
-        unit-weight instances, where loads count attracting agents."""
-        harmonic = self.harmonic
-        if harmonic is None:
-            raise ValueError(
-                "weighted-agents-unsupported: the harmonic potential is exact "
-                "only when every agent has unit weight"
-            )
-        values = self.values
-        return sum(values[j] * harmonic[c] for j, c in enumerate(loads) if c > 0)
 
     def deviation_row(self, choices, loads, agent: int) -> list[int]:
         """Scaled utility of `agent` under each of its strategies, with

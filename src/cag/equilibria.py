@@ -26,7 +26,6 @@ worker processes (at most one per CPU); results merge deterministically.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -239,6 +238,10 @@ def analyze(
     top = next((len(s) for s in ev.spaces if len(s) > 1), 1)
     jobs = min(jobs, top)
     if jobs > 1 and size > 4 * jobs:
+        # imported here: it loads `multiprocessing`, which would add to
+        # every `import cag` although only a parallel scan needs it
+        from concurrent.futures import ProcessPoolExecutor
+
         parts = [(inst, range(r, top, jobs)) for r in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_walk_part, parts))

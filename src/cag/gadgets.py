@@ -270,10 +270,6 @@ class FractionDecomposition:
     lam: Fraction
     terms: tuple[tuple[int, int], ...]  # (B_i, C_i), zero coefficients dropped
 
-    @property
-    def num_terms(self) -> int:
-        return len(self.terms)
-
 
 def first_primes(n: int) -> tuple[int, ...]:
     """The first n primes, by trial division below an explicit safe cap."""

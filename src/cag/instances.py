@@ -7,37 +7,29 @@
 * ``example1-minus-dummy`` - the same game without the dummy; it has two
   equilibria (the anti-diagonal cells) and serves as the core gadget of the
   matching reduction.
-* ``poa-lb(n, m)`` - n unit nodes, m unit agents sharing the space
-  ``{q1..qm}, {q_{m+1}}, ..., {qn}``; everyone crowding the first set is an
-  equilibrium, so the price of anarchy is n/m for n < 2m and (2m-1)/m
-  otherwise.
-* ``spoa-two-agent`` / ``spoa-family(m)`` - sequential unit games whose
-  worst subgame-perfect outcome wastes the singleton nodes, giving
-  sequential price of anarchy (2m-1)/m.
+* ``poa-lb`` (parameters n, m) - n unit nodes, m unit agents sharing the
+  space ``{q1..qm}, {q_{m+1}}, ..., {qn}``; everyone crowding the first set
+  is an equilibrium, so the price of anarchy is n/m for n < 2m and
+  (2m-1)/m otherwise.
+* ``spoa-two-agent`` / ``spoa-family`` (parameter m) - sequential unit
+  games whose worst subgame-perfect outcome wastes the singleton nodes,
+  giving sequential price of anarchy (2m-1)/m.
 * ``no-potential-counterexample`` - one unit node, weights (1, 2), each
   agent choosing between the node and staying out; two deviation paths sum
   to different utility changes, so no exact potential exists.  Note the
   empty strategy: this instance deliberately fails validation and is only
   used for the potential-path test.
+
+Each name takes exactly the parameters listed; a missing or extra one is a
+ValueError.
 """
 
 from __future__ import annotations
-
-import re
 
 from .model import Instance
 from .sequential import SequentialGame
 
 __all__ = ["build_named_instance", "NAMED_INSTANCES"]
-
-NAMED_INSTANCES = (
-    "example1",
-    "example1-minus-dummy",
-    "no-potential-counterexample",
-    "poa-lb",
-    "spoa-two-agent",
-    "spoa-family",
-)
 
 
 def _example1() -> Instance:
@@ -87,32 +79,32 @@ def _no_potential_counterexample() -> Instance:
     )
 
 
+# name -> (builder, the names of its parameters, in call order)
+_TABLE = {
+    "example1": (_example1, ()),
+    "example1-minus-dummy": (_example1_minus_dummy, ()),
+    "no-potential-counterexample": (_no_potential_counterexample, ()),
+    "poa-lb": (_poa_lb, ("n", "m")),
+    "spoa-two-agent": (_spoa_two_agent, ()),
+    "spoa-family": (_spoa_family, ("m",)),
+}
+
+NAMED_INSTANCES = tuple(_TABLE)
+
+
 def build_named_instance(
     name: str, n: int | None = None, m: int | None = None
 ) -> Instance | SequentialGame:
-    """Build a named instance.  Parameters may be given as keywords or
-    inline, e.g. ``poa-lb(4,2)`` or ``spoa-family(3)``."""
-    inline = re.fullmatch(r"([a-z0-9-]+)\((\d+)(?:,\s*(\d+))?\)", name.strip())
-    if inline:
-        name = inline.group(1)
-        n = int(inline.group(2))
-        if inline.group(3) is not None:
-            m = int(inline.group(3))
-    if name == "example1":
-        return _example1()
-    if name == "example1-minus-dummy":
-        return _example1_minus_dummy()
-    if name == "no-potential-counterexample":
-        return _no_potential_counterexample()
-    if name == "poa-lb":
-        if n is None or m is None:
-            raise ValueError("poa-lb requires parameters n and m")
-        return _poa_lb(n, m)
-    if name == "spoa-two-agent":
-        return _spoa_two_agent()
-    if name == "spoa-family":
-        size = m if m is not None else n
-        if size is None:
-            raise ValueError("spoa-family requires parameter m")
-        return _spoa_family(size)
-    raise ValueError(f"unknown instance name {name!r}")
+    """Build a named instance from exactly the parameters it takes; a
+    parameter left as None is not given."""
+    if name not in _TABLE:
+        raise ValueError(f"unknown instance name {name!r}")
+    builder, takes = _TABLE[name]
+    given = {k: v for k, v in (("n", n), ("m", m)) if v is not None}
+    stray = [k for k in given if k not in takes]
+    if stray:
+        raise ValueError(f"{name} takes no parameter {' or '.join(stray)}")
+    if len(given) < len(takes):
+        plural = "s" if len(takes) > 1 else ""
+        raise ValueError(f"{name} requires parameter{plural} {' and '.join(takes)}")
+    return builder(*(given[k] for k in takes))

@@ -80,8 +80,8 @@ def _json(text: str) -> dict:
 # instances, profiles, games
 
 
-def dumps_instance(inst: Instance, indent: int | None = 2) -> str:
-    return json.dumps(_instance_dict(inst), indent=indent) + "\n"
+def dumps_instance(inst: Instance) -> str:
+    return json.dumps(_instance_dict(inst), indent=2) + "\n"
 
 
 def _instance_dict(inst: Instance) -> dict:
@@ -155,8 +155,8 @@ def _instance_from_dict(data: dict, text: str) -> Instance:
     return Instance(tuple(nodes), tuple(agents))
 
 
-def dumps_profile(profile: StrategyProfile, indent: int | None = None) -> str:
-    return json.dumps({"choices": list(profile.choices)}, indent=indent) + "\n"
+def dumps_profile(profile: StrategyProfile) -> str:
+    return json.dumps({"choices": list(profile.choices)}) + "\n"
 
 
 def loads_profile(text: str) -> StrategyProfile:
@@ -164,10 +164,10 @@ def loads_profile(text: str) -> StrategyProfile:
     return StrategyProfile(tuple(int(c) for c in data["choices"]))
 
 
-def dumps_game(game: SequentialGame, indent: int | None = 2) -> str:
+def dumps_game(game: SequentialGame) -> str:
     data = _instance_dict(game.instance)
     data["order"] = [game.instance.agents[i].id for i in game.order]
-    return json.dumps(data, indent=indent) + "\n"
+    return json.dumps(data, indent=2) + "\n"
 
 
 def loads_game(text: str) -> SequentialGame:
@@ -187,9 +187,9 @@ def loads_game(text: str) -> SequentialGame:
 # reduction inputs
 
 
-def dumps_graph(graph: CutGraph, indent: int | None = None) -> str:
+def dumps_graph(graph: CutGraph) -> str:
     data = {"vertices": graph.num_vertices, "edges": [list(e) for e in graph.edges]}
-    return json.dumps(data, indent=indent) + "\n"
+    return json.dumps(data) + "\n"
 
 
 def loads_graph(text: str) -> CutGraph:
@@ -200,9 +200,9 @@ def loads_graph(text: str) -> CutGraph:
     )
 
 
-def dumps_tdm(tdm: ThreeDMInstance, indent: int | None = None) -> str:
+def dumps_tdm(tdm: ThreeDMInstance) -> str:
     data = {"n": tdm.n, "triples": [list(t) for t in tdm.triples]}
-    return json.dumps(data, indent=indent) + "\n"
+    return json.dumps(data) + "\n"
 
 
 def loads_tdm(text: str) -> ThreeDMInstance:
@@ -213,9 +213,9 @@ def loads_tdm(text: str) -> ThreeDMInstance:
     )
 
 
-def dumps_tqbf(formula: TqbfFormula, indent: int | None = None) -> str:
+def dumps_tqbf(formula: TqbfFormula) -> str:
     data = {"vars": formula.num_vars, "clauses": [list(c) for c in formula.clauses]}
-    return json.dumps(data, indent=indent) + "\n"
+    return json.dumps(data) + "\n"
 
 
 def loads_tqbf(text: str) -> TqbfFormula:
@@ -230,7 +230,7 @@ def loads_tqbf(text: str) -> TqbfFormula:
 # reports and traces
 
 
-def dumps_report(report: EquilibriumReport, indent: int | None = 2) -> str:
+def dumps_report(report: EquilibriumReport) -> str:
     data = {
         "pne": [list(p.choices) for p in report.pne],
         "opt-welfare": report.opt_welfare,
@@ -239,7 +239,7 @@ def dumps_report(report: EquilibriumReport, indent: int | None = 2) -> str:
         else "undefined-no-pne",
         "profile-count-scanned": report.profiles_scanned,
     }
-    return json.dumps(data, indent=indent) + "\n"
+    return json.dumps(data, indent=2) + "\n"
 
 
 def loads_report(text: str) -> EquilibriumReport:
@@ -254,7 +254,7 @@ def loads_report(text: str) -> EquilibriumReport:
     )
 
 
-def dumps_spe_result(result: SpeResult, indent: int | None = 2) -> str:
+def dumps_spe_result(result: SpeResult) -> str:
     data = {
         "mode": result.mode,
         "outcomes": [
@@ -265,7 +265,7 @@ def dumps_spe_result(result: SpeResult, indent: int | None = 2) -> str:
             for o in result.outcomes
         ],
     }
-    return json.dumps(data, indent=indent) + "\n"
+    return json.dumps(data, indent=2) + "\n"
 
 
 def loads_spe_result(text: str) -> SpeResult:

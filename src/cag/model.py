@@ -221,6 +221,8 @@ def validate_instance(inst: Instance) -> ValidationReport:
         if node.value < 1:
             errors.append(f"node {node.id!r}: non-positive value {node.value}")
 
+    if not inst.agents:
+        errors.append("no agents")
     covered: set[int] = set()
     seen_agent_ids: set[str] = set()
     for agent in inst.agents:

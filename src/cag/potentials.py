@@ -44,9 +44,6 @@ class HarmonicTable:
     def __getitem__(self, k: int) -> Fraction:
         return self.values[k]
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def rosenthal_potential(inst: Instance, profile: StrategyProfile) -> Fraction:
     """Value-weighted harmonic potential, sum over nodes of

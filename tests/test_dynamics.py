@@ -222,9 +222,6 @@ def test_invalid_configs_rejected(example1):
     with pytest.raises(ValueError):
         run_dynamics(example1, StrategyProfile((0, 0, 0)),
                      DynamicsConfig(mode="epsilon", epsilon=Fraction(-1)))
-    with pytest.raises(ValueError):
-        run_dynamics(example1, StrategyProfile((0, 0, 0)),
-                     DynamicsConfig(mode="epsilon", tie_break="random"))
 
 
 @pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])

@@ -1,5 +1,8 @@
+import concurrent.futures
 import itertools
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -22,8 +25,9 @@ from cag import (
     social_welfare,
     utility,
 )
-from cag import equilibria
 from cag.equilibria import EquilibriumReport, _worker_count
+
+from conftest import src_env
 
 
 def test_is_pne_examples(example1, example1_minus_dummy):
@@ -263,12 +267,27 @@ def test_analyze_caps_worker_processes(monkeypatch):
         def map(self, fn, parts):
             return map(fn, parts)
 
-    monkeypatch.setattr(equilibria, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     inst = gen_random("symmetric", seed=14, num_nodes=6, num_agents=3,
                       num_strategies=4)
     assert analyze(inst, jobs=100_000) == analyze(inst)
     assert requested == [3]
+
+
+def test_import_loads_no_process_pool():
+    """Only a parallel scan needs the process pool; a plain import skips it."""
+    code = (
+        "import sys, cag, cag.io; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') "
+        "if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=src_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_many_single_strategy_agents():

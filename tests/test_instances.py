@@ -40,13 +40,6 @@ def test_counterexample_shape_fails_validation():
     assert any("empty strategy" in e for e in report.errors)
 
 
-def test_inline_parameters():
-    inst = build_named_instance("poa-lb(4,2)")
-    assert inst.num_nodes == 4 and inst.num_agents == 2
-    game = build_named_instance("spoa-family(3)")
-    assert game.instance.num_agents == 3
-
-
 def test_parameter_validation():
     with pytest.raises(ValueError):
         build_named_instance("poa-lb", n=2, m=2)
@@ -56,6 +49,20 @@ def test_parameter_validation():
         build_named_instance("poa-lb")
     with pytest.raises(ValueError):
         build_named_instance("mystery-instance")
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("example1", {"n": 5}),
+        ("spoa-two-agent", {"m": 3}),
+        ("spoa-family", {"n": 3, "m": 2}),
+        ("spoa-family", {"n": 3}),
+    ],
+)
+def test_stray_parameter_rejected(name, params):
+    with pytest.raises(ValueError, match="takes no parameter n|takes no parameter m"):
+        build_named_instance(name, **params)
 
 
 def test_duplicate_strategies_are_kept():

@@ -370,6 +370,40 @@ def test_cli_gadget_reduction_with_mapping(tmp_path, capsys):
     assert "nodes" in instance_only
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["maxcut"], "requires an input file"),
+        (["tqbf", "--pad"], "requires an input file"),
+        (["maxcut", "GRAPH", "--pad"], "does not take --pad"),
+        (["maxcut", "GRAPH", "--n", "3"], "does not take --n"),
+        (["3dm", "GRAPH", "--m", "2"], "does not take --m"),
+        (["symmetrize", "GRAPH", "--symmetrize"], "does not take --symmetrize"),
+        (["example1", "--instance-only"], "does not take --instance-only"),
+        (["example1", "GRAPH"], "takes no input file"),
+        (["example1", "--n", "5"], "takes no parameter n"),
+        (["spoa-family", "--n", "3", "--m", "2"], "takes no parameter n"),
+        (["poa-lb", "--n", "4"], "requires parameters n and m"),
+        (["poa-lb(4,2)"], "unknown gadget kind"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_cli_gadget_rejects_unused_or_missing_input(tmp_path, capsys, argv, message):
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(json.dumps({"vertices": 2, "edges": [[0, 1, 1]]}))
+    argv = [str(graph_file) if a == "GRAPH" else a for a in argv]
+    assert run_cli(["gadget", *argv]) == 2
+    assert message in _single_error_line(capsys)
+
+
+def test_cli_analyze_rejects_file_without_agents(tmp_path, capsys):
+    """A cut graph passed as an instance parses to no nodes and no agents."""
+    graph_file = tmp_path / "graph.json"
+    graph_file.write_text(json.dumps({"vertices": 2, "edges": [[0, 1, 1]]}))
+    assert run_cli(["analyze", str(graph_file)]) == 2
+    assert "no agents" in _single_error_line(capsys)
+
+
 def test_cli_gadget_tqbf_pad(tmp_path, capsys):
     formula_file = tmp_path / "f.json"
     formula_file.write_text(json.dumps({"vars": 1, "clauses": [[1, 1, 1]]}))

@@ -7,11 +7,13 @@ from hypothesis import given, strategies as st
 from cag import (
     Agent,
     Instance,
+    SequentialGame,
     StrategyProfile,
     analyze,
     classify_symmetry,
     load,
     social_welfare,
+    spoa,
     utility,
     validate_instance,
 )
@@ -184,12 +186,6 @@ def test_denominator_stays_small_for_large_weights():
     assert ev.den.bit_length() < 64
 
 
-def test_potential_scaled_rejects_weighted_instances(example1):
-    ev = Evaluator(example1)
-    with pytest.raises(ValueError, match="weighted-agents-unsupported"):
-        ev.potential_scaled(ev.loads((0, 0, 0)))
-
-
 @given(instances_with_profiles(), st.integers(2, 5))
 def test_value_scaling_scales_utilities(case, factor):
     from cag import best_response
@@ -242,3 +238,22 @@ def test_evaluator_rejects_invalid_instances(agents):
         Evaluator(inst)
     with pytest.raises(ValueError, match="^invalid-instance: "):
         analyze(inst)
+
+
+@pytest.mark.parametrize(
+    "values, agents, error",
+    [
+        ((0, 0), [("a1", 1, [[0], [1]])], "non-positive value 0"),
+        ((1, -3), [("a1", 1, [[0], [1]])], "non-positive value -3"),
+        ((1, 1), [], "no agents"),
+    ],
+    ids=["zero-value", "negative-value", "no-agents"],
+)
+def test_degenerate_instances_rejected(values, agents, error):
+    inst = Instance.build(
+        [(f"q{j + 1}", v) for j, v in enumerate(values)], agents
+    )
+    assert error in " ".join(validate_instance(inst).errors)
+    for run in (Evaluator, analyze, lambda i: spoa(SequentialGame.natural(i))):
+        with pytest.raises(ValueError, match=f"^invalid-instance: .*{error}$"):
+            run(inst)
