@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -48,21 +49,24 @@ from .sequential import SequentialGame, spe_solve, spoa
 __all__ = ["main", "run_cli"]
 
 
-def _budget(text: str) -> int:
-    try:
-        return int(float(text))
-    except (ValueError, OverflowError):
-        raise ValueError(f"invalid budget {text!r}: expected a number") from None
-
-
-def _default_budget() -> int:
-    raw = os.environ.get("CAG_BUDGET")
-    if not raw:
+def _budget(flag: str | None) -> int:
+    """--budget if given, else CAG_BUDGET if set, else the default; each a
+    whole number >= 1, such as "5000" or "1e7", parsed exactly."""
+    env = os.environ.get("CAG_BUDGET")
+    if flag is None and not env:
         return DEFAULT_BUDGET
+    text, source = (flag, "") if flag is not None else (env, "CAG_BUDGET: ")
     try:
-        return _budget(raw)
-    except ValueError as exc:
-        raise ValueError(f"CAG_BUDGET: {exc}") from None
+        # float() first, so that an exponent like 1e-999999999 is refused
+        # before Fraction builds a power of ten that large
+        value = Fraction(text) if 1 <= float(text) < math.inf else None
+    except ValueError:
+        value = None
+    if value is None or value.denominator != 1:
+        raise ValueError(
+            f"{source}invalid budget {text!r}: expected a whole number >= 1"
+        )
+    return int(value)
 
 
 def _read(path: str) -> str:
@@ -114,6 +118,15 @@ def _dump_built(built) -> str:
     if isinstance(built, SequentialGame):
         return io.dumps_game(built)
     return io.dumps_instance(built)
+
+
+def _reject_stray(args, what: str, flags, takes) -> None:
+    """ValueError naming each of `flags` given but not in `takes`; a flag is
+    given when its value is not its default, None or False."""
+    given = {f: getattr(args, f[2:].replace("-", "_")) for f in flags if f not in takes}
+    stray = [f for f, v in given.items() if v is not None and v is not False]
+    if stray:
+        raise ValueError(f"{what} does not take {', '.join(stray)}")
 
 
 def _cmd_validate(args) -> int:
@@ -168,6 +181,9 @@ def _cmd_potential(args) -> int:
 
 
 def _cmd_dynamics(args) -> int:
+    alpha_flags = ("--alpha", "--allow-any-alpha")
+    takes = alpha_flags if args.mode == "alpha" else ("--eps",)
+    _reject_stray(args, f"dynamics --mode {args.mode}", ("--eps",) + alpha_flags, takes)
     inst = _load_instance(args.instance)
     start = (
         _profile_arg(args.start)
@@ -179,7 +195,7 @@ def _cmd_dynamics(args) -> int:
     )
     cfg = DynamicsConfig(
         mode=args.mode,
-        epsilon=io.parse_rational(args.eps),
+        epsilon=io.parse_rational("0" if args.eps is None else args.eps),
         alpha=alpha,
         max_steps=args.max_steps,
         allow_any_alpha=args.allow_any_alpha,
@@ -210,56 +226,42 @@ def _cmd_spoa(args) -> int:
     return 0
 
 
-# the flags each gadget kind reads (a named instance rejects the parameters
-# it does not take); a reduction also reads its input file
-_GADGET_FLAGS = dict.fromkeys(NAMED_INSTANCES, ("--n", "--m")) | {
-    "maxcut": ("--instance-only",),
-    "3dm": ("--instance-only", "--symmetrize"),
-    "tqbf": ("--instance-only", "--pad"),
-    "symmetrize": ("--instance-only", "--split"),
-    "unionize": ("--instance-only",),
-    "split": ("--instance-only",),
-}
+# kind -> (input reader, builder, the flags it reads besides --instance-only);
+# a named instance reads no input file and rejects parameters it does not take
+_GADGETS = {
+    "maxcut": (io.loads_graph, lambda g, _: maxcut_to_cag(g), ()),
+    "3dm": (io.loads_tdm, lambda t, a: tdm_to_cag(t, a.symmetrize), ("--symmetrize",)),
+    "tqbf": (
+        io.loads_tqbf, lambda f, a: tqbf_to_cag(pad_tqbf(f) if a.pad else f), ("--pad",)
+    ),
+    "symmetrize": (
+        io.loads_instance, lambda i, a: symmetrize_weighted(i, a.split), ("--split",)
+    ),
+    "unionize": (io.loads_instance, lambda i, _: unionize_strategies(i), ()),
+    "split": (io.loads_instance, lambda i, _: split_unit_values(i), ()),
+} | dict.fromkeys(
+    NAMED_INSTANCES,
+    (None, lambda _, a: build_named_instance(a.kind, n=a.n, m=a.m), ("--n", "--m")),
+)
 
 
 def _cmd_gadget(args) -> int:
     kind = args.kind
-    if kind not in _GADGET_FLAGS:
+    if kind not in _GADGETS:
         raise ValueError(f"unknown gadget kind {kind!r}")
-    given = {
-        "--n": args.n is not None,
-        "--m": args.m is not None,
-        "--symmetrize": args.symmetrize,
-        "--split": args.split,
-        "--pad": args.pad,
-        "--instance-only": args.instance_only,
-    }
-    stray = [f for f, on in given.items() if on and f not in _GADGET_FLAGS[kind]]
-    if stray:
-        raise ValueError(f"gadget {kind} does not take {', '.join(stray)}")
-    if kind in NAMED_INSTANCES:
+    reader, build, takes = _GADGETS[kind]
+    if reader is not None:
+        takes += ("--instance-only",)
+    flags = ("--n", "--m", "--symmetrize", "--split", "--pad", "--instance-only")
+    _reject_stray(args, f"gadget {kind}", flags, takes)
+    if reader is None:
         if args.input is not None:
             raise ValueError(f"gadget {kind} takes no input file")
-        _emit(args, _dump_built(build_named_instance(kind, n=args.n, m=args.m)))
+        _emit(args, _dump_built(build(None, args)))
         return 0
     if args.input is None:
         raise ValueError(f"gadget {kind} requires an input file")
-    text = _read(args.input)
-    if kind == "maxcut":
-        red = maxcut_to_cag(io.loads_graph(text))
-    elif kind == "3dm":
-        red = tdm_to_cag(io.loads_tdm(text), symmetrize=args.symmetrize)
-    elif kind == "tqbf":
-        formula = io.loads_tqbf(text)
-        if args.pad:
-            formula = pad_tqbf(formula)
-        red = tqbf_to_cag(formula)
-    elif kind == "symmetrize":
-        red = symmetrize_weighted(io.loads_instance(text), split=args.split)
-    elif kind == "unionize":
-        red = unionize_strategies(io.loads_instance(text))
-    else:
-        red = split_unit_values(io.loads_instance(text))
+    red = build(reader(_read(args.input)), args)
     if args.instance_only:
         _emit(args, _dump_built(red.instance))
         return 0
@@ -324,16 +326,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = with_output(sub.add_parser("dynamics", help="run improvement dynamics"))
     p.add_argument("instance")
     p.add_argument("--mode", choices=("epsilon", "alpha"), default="epsilon")
-    p.add_argument("--eps", default="0", help="rational like 1/10")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--allow-any-alpha", action="store_true")
+    p.add_argument("--eps", help="epsilon mode: rational like 1/10 (default 0)")
+    p.add_argument("--alpha", type=float, default=None, help="alpha mode")
+    p.add_argument("--allow-any-alpha", action="store_true", help="alpha mode")
     p.add_argument("--max-steps", type=int, default=100_000)
     p.add_argument("--start", help="profile file or '0,1,0'")
     p.set_defaults(func=_cmd_dynamics)
 
     p = with_output(sub.add_parser("analyze", help="equilibrium report"))
     p.add_argument("instance")
-    p.add_argument("--budget", type=_budget, default=None)
+    p.add_argument("--budget")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_analyze)
 
@@ -342,22 +344,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mode", choices=("deterministic", "exhaustive"), default="deterministic"
     )
-    p.add_argument("--budget", type=_budget, default=None)
+    p.add_argument("--budget")
     p.set_defaults(func=_cmd_spe)
 
     p = with_output(sub.add_parser("spoa", help="sequential price of anarchy"))
     p.add_argument("game")
-    p.add_argument("--mode", choices=("exhaustive",), default="exhaustive")
-    p.add_argument("--budget", type=_budget, default=None)
+    p.add_argument("--budget")
     p.set_defaults(func=_cmd_spoa)
 
     p = with_output(
         sub.add_parser("gadget", help="build reductions and named instances")
     )
-    p.add_argument(
-        "kind",
-        help="maxcut|3dm|tqbf|symmetrize|unionize|split or a named instance",
-    )
+    p.add_argument("kind", help="|".join(_GADGETS))
     p.add_argument("input", nargs="?", help="input file for reductions")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
@@ -398,8 +396,8 @@ def run_cli(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "budget", None) is None and hasattr(args, "budget"):
-            args.budget = _default_budget()
+        if hasattr(args, "budget"):
+            args.budget = _budget(args.budget)
         return args.func(args)
     except (BudgetError, NoEquilibriumError) as exc:
         print(f"cag: {exc}", file=sys.stderr)

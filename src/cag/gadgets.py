@@ -6,8 +6,8 @@ decision problems:
 * local max-cut -> unit games whose harmonic potential equals
   ``lambda * cutweight + constant``, so equilibria are exactly locally
   maximal cuts.  Exponentially large edge weights are encoded with
-  polynomially many nodes through a fraction decomposition driven by the
-  extended Euclidean algorithm.
+  polynomially many nodes through a Chinese-remainder partial-fraction
+  split of ``w / (p_1 * ... * p_n)`` over the first n primes.
 * perfect 3-dimensional matching -> weighted games that have an equilibrium
   iff a perfect matching exists, built around a four-node core game whose
   equilibria appear and disappear with the load on its boundary nodes.
@@ -117,6 +117,23 @@ def _strategy_value(inst: Instance, strategy: tuple[int, ...]) -> int:
     return sum(inst.nodes[j].value for j in strategy)
 
 
+def _shared_space(
+    inst: Instance, nodes: list[Node], private: list[tuple[int, ...]]
+) -> tuple[Instance, tuple[tuple[int, int], ...]]:
+    """The instance on `nodes` whose agents all choose from one shared list:
+    every original strategy of agent i joined with i's `private` nodes.
+    Also returns the layout `lift_profile` and `pullback_profile` read:
+    ``owner[k] == (i, original strategy index)`` for shared strategy k."""
+    owner = tuple(
+        (i, k) for i, a in enumerate(inst.agents) for k in range(len(a.strategies))
+    )
+    shared = tuple(
+        tuple(sorted(inst.agents[i].strategies[k] + private[i])) for i, k in owner
+    )
+    agents = tuple(Agent(a.id, a.weight, shared) for a in inst.agents)
+    return Instance(tuple(nodes), agents), owner
+
+
 def symmetrize_weighted(inst: Instance, split: bool = False) -> ReductionOutput:
     """Turn an instance with at most one non-unit-weight agent into one with
     a common strategy space, preserving equilibrium existence.
@@ -152,16 +169,7 @@ def symmetrize_weighted(inst: Instance, split: bool = False) -> ReductionOutput:
         nodes.append(Node(_fresh_id(taken, f"r{i + 1}"), value))
         reserve.append(len(nodes) - 1)
 
-    shared: list[tuple[int, ...]] = []
-    owner: list[tuple[int, int]] = []
-    for i, agent in enumerate(inst.agents):
-        for k, s in enumerate(agent.strategies):
-            shared.append(tuple(sorted(s + (reserve[i],))))
-            owner.append((i, k))
-    agents = tuple(
-        Agent(a.id, a.weight, tuple(shared)) for a in inst.agents
-    )
-    out = Instance(tuple(nodes), agents)
+    out, owner = _shared_space(inst, nodes, [(r,) for r in reserve])
     mapping = {
         "kind": "weight-symmetrization",
         "heavy_agent": heavy,
@@ -169,7 +177,7 @@ def symmetrize_weighted(inst: Instance, split: bool = False) -> ReductionOutput:
         "M": big_m,
         "M_prime": m_prime,
         "reserve_nodes": tuple(reserve),
-        "owner": tuple(owner),
+        "owner": owner,
         "split": split,
     }
     if split:
@@ -202,19 +210,12 @@ def unionize_strategies(inst: Instance) -> ReductionOutput:
             group.append(len(nodes) - 1)
         groups.append(tuple(group))
 
-    shared: list[tuple[int, ...]] = []
-    owner: list[tuple[int, int]] = []
-    for i, agent in enumerate(inst.agents):
-        for k, s in enumerate(agent.strategies):
-            shared.append(tuple(sorted(s + groups[i])))
-            owner.append((i, k))
-    agents = tuple(Agent(a.id, 1, tuple(shared)) for a in inst.agents)
-    out = Instance(tuple(nodes), agents)
+    out, owner = _shared_space(inst, nodes, groups)
     mapping = {
         "kind": "strategy-union",
         "group_size": group_size,
         "reserve_groups": tuple(groups),
-        "owner": tuple(owner),
+        "owner": owner,
     }
     return ReductionOutput(out, mapping)
 
@@ -272,34 +273,24 @@ class FractionDecomposition:
 
 
 def first_primes(n: int) -> tuple[int, ...]:
-    """The first n primes, by trial division below an explicit safe cap."""
-    cap = int(2 * n * (math.log(n) + 2)) + 16 if n > 0 else 2
+    """The first n primes, by trial division."""
     primes: list[int] = []
-    for candidate in range(2, cap + 1):
+    candidate = 2
+    while len(primes) < n:
         if all(candidate % p for p in primes if p * p <= candidate):
             primes.append(candidate)
-            if len(primes) == n:
-                return tuple(primes)
-    raise AssertionError(f"prime cap {cap} too small for n={n}")
-
-
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y == g == gcd(a, b)."""
-    x, x0, y, y0, r, r0 = 1, 0, 0, 1, a, b
-    while r0:
-        q = r // r0
-        r, r0 = r0, r - q * r0
-        x, x0 = x0, x - q * x0
-        y, y0 = y0, y - q * y0
-    return r, x, y
+        candidate += 1
+    return tuple(primes)
 
 
 def decompose_fraction(n: int, w: int) -> FractionDecomposition:
     """Write ``w / (p_1 * ... * p_n)`` as a sum of at most n + 1 fractions
     whose denominators are the primes themselves (plus one integer part).
 
-    The coefficients come from iterated extended-Euclid cofactors of the
-    numbers ``M / p_i``, reduced modulo M at every step to stay small.
+    This is the Chinese-remainder partial-fraction split: with ``M`` the
+    product of the primes, the coefficient over ``p`` is the unique
+    ``c`` in ``[0, p)`` with ``c * (M / p) == w (mod p)``, and what is left,
+    ``w - sum(c * (M / p))``, is a multiple of ``M``.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -307,32 +298,11 @@ def decompose_fraction(n: int, w: int) -> FractionDecomposition:
         raise ValueError(f"w must be in [0, 2^{n}]")
     primes = first_primes(n)
     modulus = math.prod(primes)
-    cofactors = [modulus // p for p in primes]
-
-    # Chain gcd(r_1, ..., r_i) down to 1, keeping Bezout coefficients.
-    xs = [0] * n  # xs[i] pairs gcd(r_1..r_{i+1}) with cofactor i+1
-    ys = [0] * (n + 1)
-    ys[0] = 1
-    g = cofactors[0]
-    for i in range(n - 1):
-        g, x, y = _extended_gcd(g, cofactors[i + 1])
-        xs[i] = x
-        ys[i + 1] = y
-    assert g == 1, "cofactors of distinct primes must be coprime"
-
-    suffix = [1] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = suffix[i + 1] * (xs[i] if i < n - 1 else 1) % modulus
-    coeffs = [(ys[i] * suffix[i]) % modulus for i in range(n)]
-    combo = sum(t * r for t, r in zip(coeffs, cofactors))
-    assert combo % modulus == 1
-    whole = (combo - 1) // modulus
-
-    residues = [(w * t) % p for t, p in zip(coeffs, primes)]
-    integer_part = (
-        sum((w * t - c) // p for t, c, p in zip(coeffs, residues, primes))
-        - w * whole
+    residues = [w * pow(modulus // p, -1, p) % p for p in primes]
+    integer_part, rest = divmod(
+        w - sum(c * (modulus // p) for c, p in zip(residues, primes)), modulus
     )
+    assert rest == 0
     assert abs(integer_part) <= n + 1
 
     terms = [(p, c) for p, c in zip(primes, residues) if c]
@@ -454,11 +424,8 @@ def maxcut_to_cag(graph: CutGraph) -> ReductionOutput:
     """
     if graph.num_vertices < 1 or not graph.edges:
         raise ValueError("graph must have at least one edge")
-    degree = [0] * graph.num_vertices
-    for u, v, _ in graph.edges:
-        degree[u] += 1
-        degree[v] += 1
-    isolated = [i for i, d in enumerate(degree) if d == 0]
+    touched = {x for u, v, _ in graph.edges for x in (u, v)}
+    isolated = [i for i in range(graph.num_vertices) if i not in touched]
     if isolated:
         raise ValueError(f"isolated vertices not supported: {isolated}")
 

@@ -7,7 +7,7 @@
 * ``example1-minus-dummy`` - the same game without the dummy; it has two
   equilibria (the anti-diagonal cells) and serves as the core gadget of the
   matching reduction.
-* ``poa-lb`` (parameters n, m) - n unit nodes, m unit agents sharing the
+* ``poa-lb`` (parameters n > m >= 1) - n unit nodes, m unit agents sharing the
   space ``{q1..qm}, {q_{m+1}}, ..., {qn}``; everyone crowding the first set
   is an equilibrium, so the price of anarchy is n/m for n < 2m and
   (2m-1)/m otherwise.
@@ -51,6 +51,8 @@ def _example1_minus_dummy() -> Instance:
 def _poa_lb(n: int, m: int) -> Instance:
     if n <= m:
         raise ValueError("poa-lb requires n > m")
+    if m < 1:
+        raise ValueError("poa-lb requires m >= 1")
     space = [list(range(m))] + [[j] for j in range(m, n)]
     return Instance.build(
         nodes=[(f"q{j + 1}", 1) for j in range(n)],

@@ -104,11 +104,13 @@ def loads_instance(text: str) -> Instance:
     return _instance_from_dict(_json(text), text)
 
 
-def _positive_int(value, what: str) -> int:
-    """`value` itself if it is a positive int; floats, strings and bools are
-    rejected rather than coerced."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+def _int(value, what: str, positive: bool = False) -> int:
+    """`value` itself if it is an int, and at least 1 if `positive`; floats,
+    strings and bools are rejected rather than coerced.  The loaders check
+    only the type where the object they build checks ranges."""
+    if isinstance(value, bool) or not isinstance(value, int) or positive and value < 1:
+        kind = "a positive integer" if positive else "an integer"
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
     return value
 
 
@@ -123,7 +125,7 @@ def _instance_from_dict(data: dict, text: str) -> Instance:
                 f"(line {_definition_line(text, node_id)})"
             )
         index[node_id] = len(nodes)
-        value = _positive_int(entry["value"], f"node {node_id!r}: value")
+        value = _int(entry["value"], f"node {node_id!r}: value", positive=True)
         nodes.append(Node(node_id, value))
 
     agents = []
@@ -150,7 +152,7 @@ def _instance_from_dict(data: dict, text: str) -> Instance:
                     f"agent {agent_id!r}: duplicate node in strategy {strategy}"
                 )
             strategies.append(tuple(sorted(refs)))
-        weight = _positive_int(entry["weight"], f"agent {agent_id!r}: weight")
+        weight = _int(entry["weight"], f"agent {agent_id!r}: weight", positive=True)
         agents.append(Agent(agent_id, weight, tuple(strategies)))
     return Instance(tuple(nodes), tuple(agents))
 
@@ -161,7 +163,7 @@ def dumps_profile(profile: StrategyProfile) -> str:
 
 def loads_profile(text: str) -> StrategyProfile:
     data = _json(text)
-    return StrategyProfile(tuple(int(c) for c in data["choices"]))
+    return StrategyProfile(tuple(_int(c, "profile choice") for c in data["choices"]))
 
 
 def dumps_game(game: SequentialGame) -> str:
@@ -195,8 +197,11 @@ def dumps_graph(graph: CutGraph) -> str:
 def loads_graph(text: str) -> CutGraph:
     data = _json(text)
     return CutGraph(
-        int(data["vertices"]),
-        tuple((int(u), int(v), int(w)) for u, v, w in data["edges"]),
+        _int(data["vertices"], "vertices"),
+        tuple(
+            (_int(u, "edge end"), _int(v, "edge end"), _int(w, "edge weight"))
+            for u, v, w in data["edges"]
+        ),
     )
 
 
@@ -208,8 +213,11 @@ def dumps_tdm(tdm: ThreeDMInstance) -> str:
 def loads_tdm(text: str) -> ThreeDMInstance:
     data = _json(text)
     return ThreeDMInstance(
-        int(data["n"]),
-        tuple((int(x), int(y), int(z)) for x, y, z in data["triples"]),
+        _int(data["n"], "n"),
+        tuple(
+            tuple(_int(c, "triple coordinate") for c in (x, y, z))
+            for x, y, z in data["triples"]
+        ),
     )
 
 
@@ -221,8 +229,11 @@ def dumps_tqbf(formula: TqbfFormula) -> str:
 def loads_tqbf(text: str) -> TqbfFormula:
     data = _json(text)
     return TqbfFormula(
-        int(data["vars"]),
-        tuple(tuple(int(lit) for lit in clause) for clause in data["clauses"]),
+        _int(data["vars"], "vars"),
+        tuple(
+            tuple(_int(lit, "literal") for lit in clause)
+            for clause in data["clauses"]
+        ),
     )
 
 

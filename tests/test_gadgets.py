@@ -44,6 +44,8 @@ from cag.gadgets import first_primes
 
 def test_first_primes():
     assert first_primes(6) == (2, 3, 5, 7, 11, 13)
+    assert first_primes(0) == ()
+    assert first_primes(100)[-1] == 541
 
 
 def test_decompose_trivial_and_unit():
@@ -65,6 +67,20 @@ def test_decompose_full_sweep():
             assert total == Fraction(w, dec.modulus)
             assert sum(abs(c) for _, c in dec.terms) <= n * dec.primes[-1] + n + 1
             assert max((b for b, _ in dec.terms), default=1) <= dec.primes[-1]
+
+
+def test_decompose_coefficients_are_crt_residues():
+    """Each prime's coefficient c is the Chinese-remainder residue: the
+    unique 0 < c < p with c * (M / p) == w (mod p), absent when it is 0."""
+    for n in range(1, 9):
+        for w in range(2**n + 1):
+            dec = decompose_fraction(n, w)
+            coeff = dict(dec.terms)
+            for p in dec.primes:
+                c = coeff.get(p, 0)
+                assert 0 <= c < p
+                assert (c * (dec.modulus // p) - w) % p == 0, (n, w, p)
+            assert set(coeff) <= set(dec.primes) | {1}
 
 
 def test_decompose_rejects_out_of_range():

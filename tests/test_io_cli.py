@@ -148,8 +148,10 @@ def test_cli_analyze_reports_no_equilibrium(example1_file, capsys):
 def test_cli_spoa_value(tmp_path, capsys):
     game_file = tmp_path / "spoa2.json"
     run_cli(["gadget", "spoa-two-agent", "-o", str(game_file)])
-    assert run_cli(["spoa", str(game_file), "--mode", "exhaustive"]) == 0
+    assert run_cli(["spoa", str(game_file)]) == 0
     assert json.loads(capsys.readouterr().out) == "3/2"
+    with pytest.raises(SystemExit):  # spoa has no --mode
+        run_cli(["spoa", str(game_file), "--mode", "exhaustive"])
 
 
 @pytest.mark.parametrize("module", ["cag", "cag.cli"])
@@ -227,6 +229,13 @@ def test_cli_dynamics_trace(tmp_path, capsys):
     assert json.loads(lines[-1])["termination"] == "converged"
     step = json.loads(lines[0])
     assert set(step) == {"step", "agent", "from", "to", "gain"}
+    # epsilon defaults to 0; alpha mode runs without --eps
+    traces = []
+    for eps in ([], ["--eps", "0"]):
+        assert run_cli(["dynamics", str(inst_file), "--start", "1,1", *eps]) == 0
+        traces.append(capsys.readouterr().out)
+    assert traces[0] == traces[1]
+    assert run_cli(["dynamics", str(inst_file), "--mode", "alpha"]) == 0
 
 
 def test_cli_spe_deterministic(tmp_path, capsys):
@@ -274,6 +283,8 @@ def test_cli_budget_env(example1_file, monkeypatch, capsys):
     monkeypatch.setenv("CAG_BUDGET", "2")
     assert run_cli(["analyze", str(example1_file)]) == 1
     assert "search-space-too-large" in capsys.readouterr().err
+    # --budget wins over CAG_BUDGET; 1e1 is exactly 10 >= 8 profiles
+    assert run_cli(["analyze", str(example1_file), "--budget", "1e1"]) == 0
 
 
 def _single_error_line(capsys) -> str:
@@ -282,11 +293,20 @@ def _single_error_line(capsys) -> str:
     return lines[0]
 
 
-@pytest.mark.parametrize("value", ["abc", "inf", "nan"])
+BAD_BUDGETS = ["abc", "inf", "nan", "1.5", "0", "-5", "1e-400", "1e400"]
+
+
+@pytest.mark.parametrize("value", BAD_BUDGETS)
 def test_cli_bad_budget_env_is_input_error(example1_file, monkeypatch, capsys, value):
     monkeypatch.setenv("CAG_BUDGET", value)
     assert run_cli(["analyze", str(example1_file)]) == 2
     assert "CAG_BUDGET" in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("value", BAD_BUDGETS)
+def test_cli_bad_budget_flag_is_input_error(example1_file, capsys, value):
+    assert run_cli(["analyze", str(example1_file), "--budget", value]) == 2
+    assert "invalid budget" in _single_error_line(capsys)
 
 
 def _one_node_instance(weight=1, value=1, strategies=(("q1",),)) -> str:
@@ -340,8 +360,19 @@ def test_cli_rejects_empty_strategy_space(tmp_path, capsys, command):
             ["--mode", "alpha", "--alpha", "nan", "--allow-any-alpha"],
             "alpha must be finite",
         ),
+        (["--mode", "alpha", "--eps", "1/2"], "--mode alpha does not take --eps"),
+        (["--mode", "alpha", "--eps", "0"], "--mode alpha does not take --eps"),
+        (["--alpha", "2"], "--mode epsilon does not take --alpha"),
+        (
+            ["--eps", "0", "--alpha", "2", "--allow-any-alpha"],
+            "does not take --alpha, --allow-any-alpha",
+        ),
     ],
-    ids=["eps-1/0", "alpha-inf", "alpha-nan", "alpha-nan-allow-any"],
+    ids=[
+        "eps-1/0", "alpha-inf", "alpha-nan", "alpha-nan-allow-any",
+        "alpha-with-eps", "alpha-with-eps-0", "epsilon-with-alpha",
+        "epsilon-with-alpha-and-allow-any",
+    ],
 )
 def test_cli_dynamics_rejects_bad_eps_and_alpha(example1_file, capsys, flags, message):
     assert run_cli(["dynamics", str(example1_file), *flags]) == 2
@@ -385,6 +416,8 @@ def test_cli_gadget_reduction_with_mapping(tmp_path, capsys):
         (["spoa-family", "--n", "3", "--m", "2"], "takes no parameter n"),
         (["poa-lb", "--n", "4"], "requires parameters n and m"),
         (["poa-lb(4,2)"], "unknown gadget kind"),
+        (["poa-lb", "--n", "3", "--m", "0"], "requires m >= 1"),
+        (["poa-lb", "--n", "3", "--m", "-2"], "requires m >= 1"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
@@ -394,6 +427,31 @@ def test_cli_gadget_rejects_unused_or_missing_input(tmp_path, capsys, argv, mess
     argv = [str(graph_file) if a == "GRAPH" else a for a in argv]
     assert run_cli(["gadget", *argv]) == 2
     assert message in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "kind, data",
+    [
+        ("profile", {"choices": [0.9, True, 0]}),
+        ("profile", {"choices": [0, "1", 0]}),
+        ("maxcut", {"vertices": 2.7, "edges": [[0, 1, 1]]}),
+        ("maxcut", {"vertices": 2, "edges": [[0, 1, "3"]]}),
+        ("maxcut", {"vertices": 2, "edges": [[False, 1, 1]]}),
+        ("3dm", {"n": 1, "triples": [[0.2, 0, 0]]}),
+        ("3dm", {"n": True, "triples": [[0, 0, 0]]}),
+        ("tqbf", {"vars": 3, "clauses": [[1, -2, 3.0]]}),
+        ("tqbf", {"vars": "3", "clauses": [[1, -2, 3]]}),
+    ],
+)
+def test_cli_loaders_reject_non_integers(example1_file, tmp_path, capsys, kind, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    if kind == "profile":
+        argv = ["eval", str(example1_file), "--profile", str(path)]
+    else:
+        argv = ["gadget", kind, str(path)]
+    assert run_cli(argv) == 2
+    assert "must be an integer" in _single_error_line(capsys)
 
 
 def test_cli_analyze_rejects_file_without_agents(tmp_path, capsys):
