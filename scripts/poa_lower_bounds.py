@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from cag import analyze, build_named_instance
+from cag import analyze, build_named_instance, social_welfare
 
 
 def main() -> None:
@@ -25,18 +25,7 @@ def main() -> None:
         for n in range(m + 1, args.max_nodes + 1):
             inst = build_named_instance("poa-lb", n=n, m=m)
             report = analyze(inst)
-            worst = min(
-                sum(
-                    inst.nodes[j].value
-                    for j in set().union(
-                        *(
-                            inst.agents[i].strategies[c]
-                            for i, c in enumerate(p.choices)
-                        )
-                    )
-                )
-                for p in report.pne
-            )
+            worst = min(social_welfare(inst, p) for p in report.pne)
             print(f"{n:>3} {m:>3} {report.opt_welfare:>4} {worst:>8} {str(report.poa):>8}")
 
 

@@ -69,7 +69,7 @@ from .model import (
     validate_instance,
 )
 from .potentials import (
-    HarmonicTable,
+    harmonic_numbers,
     log_potential,
     psi,
     rosenthal_potential,

@@ -40,7 +40,7 @@ from functools import partial
 
 from .engine import Evaluator
 from .model import Instance, StrategyProfile, check_profile
-from .potentials import HarmonicTable
+from .potentials import harmonic_numbers
 
 __all__ = [
     "DynamicsConfig",
@@ -111,7 +111,7 @@ def epsilon_step_bound(inst: Instance, epsilon: Fraction) -> int:
     if epsilon <= 0:
         raise ValueError("step bound requires epsilon > 0")
     m = inst.num_agents
-    bound = Fraction(sum(inst.values)) * HarmonicTable(m)[m] * m / epsilon
+    bound = Fraction(sum(inst.values)) * harmonic_numbers(m)[m] * m / epsilon
     return -(-bound.numerator // bound.denominator)
 
 

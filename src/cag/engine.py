@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .model import Instance
+from .model import DEFAULT_BUDGET, BudgetError, Instance, validate_instance
 
 __all__ = ["Evaluator"]
 
@@ -28,18 +28,12 @@ class Evaluator:
     """Precomputed tables for exact profile evaluation on one instance."""
 
     def __init__(self, inst: Instance):
-        """Raises ValueError on no agents, a non-positive value or weight,
-        an empty strategy space or strategy, a strategy naming a node twice,
-        or a node index out of range; the remaining `validate_instance`
-        checks do not affect evaluation."""
-        if not inst.agents:
-            raise ValueError("invalid-instance: the instance has no agents")
-        for node in inst.nodes:
-            if node.value < 1:
-                raise ValueError(
-                    f"invalid-instance: node {node.id!r} has non-positive "
-                    f"value {node.value}"
-                )
+        """Raises ValueError, worded by `validate_instance`, on no agents, a
+        non-positive value or weight, an empty strategy space or strategy, a
+        strategy naming a node twice, or a node index out of range; the
+        remaining `validate_instance` checks do not affect evaluation.
+        Raises BudgetError when the total weight, which sizes the load
+        table, exceeds DEFAULT_BUDGET."""
         self.instance = inst
         self.num_nodes = inst.num_nodes
         self.num_agents = inst.num_agents
@@ -49,34 +43,30 @@ class Evaluator:
         self.space_sets = [
             [frozenset(s) for s in a.strategies] for a in inst.agents
         ]
-
-        attracts = []  # per agent: every node it could attract
-        for a, node_sets in zip(inst.agents, self.space_sets):
-            if a.weight < 1:
-                raise ValueError(
-                    f"invalid-instance: agent {a.id!r} has non-positive "
-                    f"weight {a.weight}"
-                )
-            if not a.strategies:
-                raise ValueError(
-                    f"invalid-instance: agent {a.id!r} has an empty strategy space"
-                )
-            if not all(a.strategies):
-                raise ValueError(
-                    f"invalid-instance: agent {a.id!r} has an empty strategy"
-                )
-            # a node listed twice would count twice in a load, once in `reach`
-            if any(len(f) != len(s) for f, s in zip(node_sets, a.strategies)):
-                raise ValueError(
-                    f"invalid-instance: agent {a.id!r} has a strategy that "
-                    "names a node twice"
-                )
-            attracts.append(set().union(*a.strategies))
+        attracts = [set().union(*space) for space in self.spaces]
         every = set().union(*attracts)
-        if every and (min(every) < 0 or max(every) >= self.num_nodes):
+        # a node listed twice would count twice in a load, once in `reach`
+        if not (
+            self.weights
+            and min(self.weights) >= 1
+            and min(self.values, default=1) >= 1
+            and all(self.spaces)
+            and all(
+                0 < len(f) == len(s)
+                for sets, space in zip(self.space_sets, self.spaces)
+                for f, s in zip(sets, space)
+            )
+            and 0 <= min(every)
+            and max(every) < self.num_nodes
+        ):
             raise ValueError(
-                "invalid-instance: a strategy names a node index outside "
-                f"0..{self.num_nodes - 1}"
+                "invalid-instance: " + "; ".join(validate_instance(inst).errors)
+            )
+        total = sum(self.weights)
+        if total > DEFAULT_BUDGET:
+            raise BudgetError(
+                f"search-space-too-large: total weight {total} exceeds "
+                f"{DEFAULT_BUDGET}, the size limit of the load table"
             )
         # reach[j]: bit c set iff some set of j's potential attractors weighs c
         reach = [1] * self.num_nodes

@@ -31,6 +31,7 @@ from fractions import Fraction
 
 from .engine import Evaluator
 from .model import (
+    DEFAULT_BUDGET,
     BudgetError,
     Instance,
     NoEquilibriumError,
@@ -48,8 +49,6 @@ __all__ = [
     "pne_exists",
     "poa",
 ]
-
-DEFAULT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .equilibria import DEFAULT_BUDGET
 from .model import Agent, BudgetError, Instance, Node, StrategyProfile
-from .potentials import HarmonicTable
+from .potentials import harmonic_numbers
 from .sequential import SequentialGame
 
 __all__ = [
@@ -58,6 +58,10 @@ __all__ = [
     "tqbf_to_cag",
     "unionize_strategies",
 ]
+
+# the most agents `maxcut_to_cag` builds; one edge of weight 2^20 - 1 alone
+# needs 764,930
+_MAX_REDUCTION_AGENTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -356,14 +360,14 @@ def edge_gadget_terms(w_bar: int, w: int) -> EdgeGadget:
         pos, neg = (d_plus, d_minus) if c > 0 else (d_minus, d_plus)
         for _ in range(abs(c)):
             _expand_unit_fraction(b, pos, neg)
-    table = HarmonicTable(max((d + 1 for d in d_plus + d_minus), default=0))
+    h = harmonic_numbers(max((d + 1 for d in d_plus + d_minus), default=0))
     # An agreeing pair loads its nodes d and d+2 (sum 2H(d+1) - delta), a
     # disagreeing pair d+1 twice (sum 2H(d+1)); the cut-independent part of
     # a plus pair is therefore the agreeing value.
     rho = sum(
-        (2 * table[d + 1] - Fraction(1, (d + 1) * (d + 2)) for d in d_plus),
+        (2 * h[d + 1] - Fraction(1, (d + 1) * (d + 2)) for d in d_plus),
         Fraction(0),
-    ) + sum((2 * table[d + 1] for d in d_minus), Fraction(0))
+    ) + sum((2 * h[d + 1] for d in d_minus), Fraction(0))
     return EdgeGadget(tuple(d_plus), tuple(d_minus), dec.lam, rho)
 
 
@@ -431,6 +435,16 @@ def maxcut_to_cag(graph: CutGraph) -> ReductionOutput:
 
     w_bar = max(w for _, _, w in graph.edges)
     gadget_cache = {w: edge_gadget_terms(w_bar, w) for w in {e[2] for e in graph.edges}}
+    # each edge pins d dummies to each node of a pair, for every d listed
+    num_agents = graph.num_vertices + sum(
+        2 * (sum(gadget_cache[w].d_plus) + sum(gadget_cache[w].d_minus))
+        for _, _, w in graph.edges
+    )
+    if num_agents > _MAX_REDUCTION_AGENTS:
+        raise BudgetError(
+            f"search-space-too-large: the reduction needs {num_agents} "
+            f"agents, more than {_MAX_REDUCTION_AGENTS}"
+        )
 
     nodes: list[Node] = []
     dummies: list[Agent] = []

@@ -35,6 +35,11 @@ __all__ = [
 ]
 
 
+# the default number of profiles an exhaustive search may cover, and the
+# largest total weight `Evaluator` builds a load table for
+DEFAULT_BUDGET = 10_000_000
+
+
 class BudgetError(RuntimeError):
     """Raised when an exhaustive search would exceed the configured budget
     ("search-space-too-large")."""
@@ -253,15 +258,3 @@ def validate_instance(inst: Instance) -> ValidationReport:
             "nodes not covered by any strategy: " + ", ".join(uncovered)
         )
     return ValidationReport(tuple(errors), tuple(warnings))
-
-
-def scale_values(inst: Instance, factor: int) -> Instance:
-    """Scale every node value by a common positive integer.
-
-    Every utility and the social welfare scale by the same factor, so
-    best responses and equilibria are unchanged.
-    """
-    if factor < 1:
-        raise ValueError("factor must be a positive integer")
-    nodes = tuple(Node(n.id, n.value * factor) for n in inst.nodes)
-    return Instance(nodes, inst.agents)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .model import Instance, StrategyProfile, check_profile, _all_loads
 
 __all__ = [
-    "HarmonicTable",
+    "harmonic_numbers",
     "log_potential",
     "psi",
     "rosenthal_potential",
@@ -31,18 +31,13 @@ __all__ = [
 ]
 
 
-class HarmonicTable:
-    """Exact harmonic prefix sums H(k) = 1 + 1/2 + ... + 1/k, memoized up to
-    a maximum load.  H(0) = 0 and H(k) - H(k-1) = 1/k."""
-
-    def __init__(self, max_load: int):
-        values = [Fraction(0)]
-        for k in range(1, max_load + 1):
-            values.append(values[-1] + Fraction(1, k))
-        self.values = tuple(values)
-
-    def __getitem__(self, k: int) -> Fraction:
-        return self.values[k]
+def harmonic_numbers(k: int) -> tuple[Fraction, ...]:
+    """The exact harmonic numbers H(0), ..., H(k), where
+    H(i) = 1 + 1/2 + ... + 1/i; H(0) = 0 and H(i) - H(i-1) = 1/i."""
+    values = [Fraction(0)]
+    for i in range(1, k + 1):
+        values.append(values[-1] + Fraction(1, i))
+    return tuple(values)
 
 
 def rosenthal_potential(inst: Instance, profile: StrategyProfile) -> Fraction:
@@ -59,9 +54,9 @@ def rosenthal_potential(inst: Instance, profile: StrategyProfile) -> Fraction:
         )
     check_profile(inst, profile)
     loads = _all_loads(inst, profile)
-    table = HarmonicTable(max(loads, default=0))
+    h = harmonic_numbers(max(loads, default=0))
     return sum(
-        (node.value * table[c] for node, c in zip(inst.nodes, loads) if c > 0),
+        (node.value * h[c] for node, c in zip(inst.nodes, loads) if c > 0),
         Fraction(0),
     )
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cag import (
+    BudgetError,
     CutGraph,
     Instance,
     StrategyProfile,
@@ -166,6 +167,12 @@ def test_maxcut_rejects_bad_graphs():
         CutGraph(2, ((0, 0, 1),))
     with pytest.raises(ValueError, match="weight"):
         CutGraph(2, ((0, 1, 0),))
+
+
+def test_maxcut_refuses_graphs_needing_too_many_agents():
+    # one edge of weight 2^24 needs 1,819,248 agents; none is built
+    with pytest.raises(BudgetError, match="^search-space-too-large: .*1819248"):
+        maxcut_to_cag(CutGraph(2, ((0, 1, 2**24),)))
 
 
 def test_cut_from_profile_conventions():

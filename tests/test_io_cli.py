@@ -309,6 +309,20 @@ def test_cli_bad_budget_flag_is_input_error(example1_file, capsys, value):
     assert "invalid budget" in _single_error_line(capsys)
 
 
+def test_cli_refuses_total_weight_above_budget(tmp_path, capsys):
+    w = 6_000_000
+    path = tmp_path / "heavy.json"
+    path.write_text(json.dumps({
+        "nodes": [{"id": "q1", "value": 3}, {"id": "q2", "value": 2}],
+        "agents": [
+            {"id": "a1", "weight": w, "strategies": [["q1"], ["q2"]]},
+            {"id": "a2", "weight": w + 1, "strategies": [["q1"], ["q2"]]},
+        ],
+    }))
+    assert run_cli(["analyze", str(path)]) == 1
+    assert _single_error_line(capsys).startswith("cag: search-space-too-large: ")
+
+
 def _one_node_instance(weight=1, value=1, strategies=(("q1",),)) -> str:
     return json.dumps(
         {

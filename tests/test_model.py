@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 
 from cag import (
     Agent,
+    BudgetError,
     Instance,
+    Node,
     SequentialGame,
     StrategyProfile,
     analyze,
@@ -18,7 +20,6 @@ from cag import (
     validate_instance,
 )
 from cag.engine import Evaluator
-from cag.model import scale_values
 
 from conftest import instances, instances_with_profiles
 
@@ -191,7 +192,9 @@ def test_value_scaling_scales_utilities(case, factor):
     from cag import best_response
 
     inst, profile = case
-    scaled = scale_values(inst, factor)
+    scaled = Instance(
+        tuple(Node(n.id, n.value * factor) for n in inst.nodes), inst.agents
+    )
     for i in range(inst.num_agents):
         assert utility(scaled, profile, i) == factor * utility(inst, profile, i)
         choice, gain = best_response(inst, profile, i)
@@ -234,8 +237,11 @@ def test_dropping_nodes_never_helps(case):
 )
 def test_evaluator_rejects_invalid_instances(agents):
     inst = Instance.build([("q1", 1), ("q2", 1)], agents)
-    with pytest.raises(ValueError, match="^invalid-instance: "):
+    errors = validate_instance(inst).errors
+    assert errors
+    with pytest.raises(ValueError) as refused:
         Evaluator(inst)
+    assert str(refused.value) == "invalid-instance: " + "; ".join(errors)
     with pytest.raises(ValueError, match="^invalid-instance: "):
         analyze(inst)
 
@@ -257,3 +263,87 @@ def test_degenerate_instances_rejected(values, agents, error):
     for run in (Evaluator, analyze, lambda i: spoa(SequentialGame.natural(i))):
         with pytest.raises(ValueError, match=f"^invalid-instance: .*{error}$"):
             run(inst)
+
+
+def _evaluable(inst) -> bool:
+    """The seven rules `Evaluator` has enforced since it first refused
+    instances, written out independently of the engine."""
+    strategies = [s for a in inst.agents for s in a.strategies]
+    return (
+        len(inst.agents) > 0
+        and all(node.value >= 1 for node in inst.nodes)
+        and all(a.weight >= 1 for a in inst.agents)
+        and all(len(a.strategies) > 0 for a in inst.agents)
+        and all(len(s) > 0 for s in strategies)
+        and all(len(set(s)) == len(s) for s in strategies)
+        and all(0 <= j < inst.num_nodes for s in strategies for j in s)
+    )
+
+
+BREAKS = ("weight", "value", "space", "strategy", "repeat", "range",
+          "agents", "nodes", "order", "id")
+
+
+@st.composite
+def broken_instances(draw):
+    """Small valid instances with up to two fields broken: a weight or value
+    of 0 or -1, an empty space or strategy, a repeated or out-of-range node,
+    no agents or no nodes; or an unsorted strategy or a repeated agent id,
+    which evaluation does not mind."""
+    inst = draw(instances())
+    nodes, agents = list(inst.nodes), list(inst.agents)
+    for field in draw(st.lists(st.sampled_from(BREAKS), max_size=2)):
+        if field == "nodes":
+            nodes = []
+        elif field == "agents":
+            agents = []
+        elif field == "value":
+            if nodes:
+                j = draw(st.integers(0, len(nodes) - 1))
+                nodes[j] = Node(nodes[j].id, draw(st.integers(-1, 0)))
+        elif agents:
+            i = draw(st.integers(0, len(agents) - 1))
+            a = agents[i]
+            name, weight, spaces = a.id, a.weight, list(a.strategies)
+            k = draw(st.integers(0, len(spaces) - 1)) if spaces else None
+            if field == "weight":
+                weight = draw(st.integers(-1, 0))
+            elif field == "space":
+                spaces = []
+            elif field == "strategy":
+                spaces.append(())
+            elif field == "id":
+                name = agents[0].id
+            elif k is not None and spaces[k]:
+                s = spaces[k]
+                outside = draw(st.sampled_from((-1, inst.num_nodes)))
+                spaces[k] = {
+                    "repeat": s + s[:1],
+                    "range": s + (outside,),
+                    "order": s[::-1],
+                }[field]
+            agents[i] = Agent(name, weight, tuple(spaces))
+    return Instance(tuple(nodes), tuple(agents))
+
+
+@given(broken_instances())
+def test_evaluator_accepts_exactly_the_evaluable_instances(inst):
+    if _evaluable(inst):
+        Evaluator(inst)
+        return
+    errors = validate_instance(inst).errors
+    assert errors
+    with pytest.raises(ValueError) as refused:
+        Evaluator(inst)
+    assert str(refused.value) == "invalid-instance: " + "; ".join(errors)
+
+
+def test_evaluator_refuses_total_weight_above_budget():
+    # the load table has one entry per load up to the total weight
+    w = 6_000_000
+    inst = Instance.build(
+        nodes=[("q1", 3), ("q2", 2)],
+        agents=[("a1", w, [[0], [1]]), ("a2", w + 1, [[0], [1]])],
+    )
+    with pytest.raises(BudgetError, match="^search-space-too-large: "):
+        Evaluator(inst)

@@ -11,20 +11,20 @@ from cag import (
     StrategyProfile,
     build_named_instance,
     gen_random,
+    harmonic_numbers,
     log_potential,
     psi,
     rosenthal_potential,
     two_agent_potential,
     utility,
 )
-from cag.potentials import HarmonicTable
 
 from conftest import instances_with_profiles
 
 
 def test_harmonic_table():
-    table = HarmonicTable(5)
-    assert table[0] == 0
+    table = harmonic_numbers(5)
+    assert len(table) == 6 and table[0] == 0
     assert table[3] == Fraction(11, 6)
     for k in range(1, 6):
         assert table[k] - table[k - 1] == Fraction(1, k)

@@ -26,13 +26,15 @@ def test_script_runs(name):
 
 
 def test_poa_lower_bounds_match_closed_form():
-    """The crowding family's PoA is n/m for n < 2m and (2m-1)/m after."""
+    """The crowding family's PoA is n/m for n < 2m and (2m-1)/m after; its
+    worst equilibrium piles everyone onto one set, of welfare m."""
     rows = [line.split() for line in run_script("poa_lower_bounds.py").splitlines()[1:]]
     assert rows
-    for n, m, _, _, ratio in rows:
-        n, m = int(n), int(m)
+    for n, m, opt, worst, ratio in rows:
+        n, m, opt, worst = int(n), int(m), int(opt), int(worst)
         expected = Fraction(n, m) if n < 2 * m else Fraction(2 * m - 1, m)
         assert Fraction(ratio) == expected, (n, m)
+        assert worst == m and opt == Fraction(ratio) * worst, (n, m)
 
 
 @pytest.mark.parametrize("eps", ["0", "-1/2", "abc", "1/0"])
