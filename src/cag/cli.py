@@ -81,8 +81,12 @@ def _checked(inst):
     return inst
 
 
+def _parse_instance(text: str):
+    return _checked(io.loads_instance(text))
+
+
 def _load_instance(path: str):
-    return _checked(io.loads_instance(_read(path)))
+    return _parse_instance(_read(path))
 
 
 def _load_game(path: str) -> SequentialGame:
@@ -235,10 +239,10 @@ _GADGETS = {
         io.loads_tqbf, lambda f, a: tqbf_to_cag(pad_tqbf(f) if a.pad else f), ("--pad",)
     ),
     "symmetrize": (
-        io.loads_instance, lambda i, a: symmetrize_weighted(i, a.split), ("--split",)
+        _parse_instance, lambda i, a: symmetrize_weighted(i, a.split), ("--split",)
     ),
-    "unionize": (io.loads_instance, lambda i, _: unionize_strategies(i), ()),
-    "split": (io.loads_instance, lambda i, _: split_unit_values(i), ()),
+    "unionize": (_parse_instance, lambda i, _: unionize_strategies(i), ()),
+    "split": (_parse_instance, lambda i, _: split_unit_values(i), ()),
 } | dict.fromkeys(
     NAMED_INSTANCES,
     (None, lambda _, a: build_named_instance(a.kind, n=a.n, m=a.m), ("--n", "--m")),

@@ -114,24 +114,41 @@ def _int(value, what: str, positive: bool = False) -> int:
     return value
 
 
+def _missing(entry, fields, kind: str, k: int) -> ValueError:
+    """The error for the k-th entry of the `kind` list, which is not an
+    object or lacks one of `fields`: it names the entry and the field."""
+    if not isinstance(entry, dict):
+        return ValueError(f"{kind}s[{k}] must be a JSON object, got {entry!r}")
+    what = f"{kind} {str(entry['id'])!r}" if "id" in entry else f"{kind}s[{k}]"
+    field = next(f for f in fields if f not in entry)
+    return ValueError(f"{what}: missing field {field!r}")
+
+
 def _instance_from_dict(data: dict, text: str) -> Instance:
     nodes = []
     index: dict[str, int] = {}
-    for entry in data.get("nodes", []):
-        node_id = str(entry["id"])
+    for k, entry in enumerate(data.get("nodes", [])):
+        try:
+            node_id, value = str(entry["id"]), entry["value"]
+        except (KeyError, TypeError):
+            raise _missing(entry, ("id", "value"), "node", k) from None
         if node_id in index:
             raise ValueError(
                 f"duplicate node id {node_id!r} "
                 f"(line {_definition_line(text, node_id)})"
             )
         index[node_id] = len(nodes)
-        value = _int(entry["value"], f"node {node_id!r}: value", positive=True)
+        value = _int(value, f"node {node_id!r}: value", positive=True)
         nodes.append(Node(node_id, value))
 
     agents = []
     seen: set[str] = set()
-    for entry in data.get("agents", []):
-        agent_id = str(entry["id"])
+    for k, entry in enumerate(data.get("agents", [])):
+        try:
+            agent_id = str(entry["id"])
+            space, weight = entry["strategies"], entry["weight"]
+        except (KeyError, TypeError):
+            raise _missing(entry, ("id", "strategies", "weight"), "agent", k) from None
         if agent_id in seen:
             raise ValueError(
                 f"duplicate agent id {agent_id!r} "
@@ -139,7 +156,7 @@ def _instance_from_dict(data: dict, text: str) -> Instance:
             )
         seen.add(agent_id)
         strategies = []
-        for strategy in entry["strategies"]:
+        for strategy in space:
             refs = []
             for ref in strategy:
                 if ref not in index:
@@ -152,7 +169,7 @@ def _instance_from_dict(data: dict, text: str) -> Instance:
                     f"agent {agent_id!r}: duplicate node in strategy {strategy}"
                 )
             strategies.append(tuple(sorted(refs)))
-        weight = _int(entry["weight"], f"agent {agent_id!r}: weight", positive=True)
+        weight = _int(weight, f"agent {agent_id!r}: weight", positive=True)
         agents.append(Agent(agent_id, weight, tuple(strategies)))
     return Instance(tuple(nodes), tuple(agents))
 

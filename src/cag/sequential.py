@@ -17,14 +17,17 @@ t-th real decision is fixed by the loads so far.  The walk therefore
 answers each state once from a table keyed by (t, loads), plus the queried
 agent's choice once that agent has moved, since its utility depends on it.
 An outcome is an interned id of a distinct leaf: its final loads and the
-queried agent's choice.  A parent scores its mover on each id from the
-final loads, so leaves evaluate nothing and deduplication hashes small
-ints.  Every profile's loads are interned along the way, so `spoa` takes
-the optimum from the same walk.  `spe_solve` runs the one plain walk,
-`_solve`, in either mode; the modes differ only in how a mover merges its
-children.  It reports profiles, and it is the reference the memoized walk
-is tested against.  Both walks place single-strategy movers once, before
-they start, since those movers make no decision.
+queried agent's choice.  The last mover's children are single leaves, so
+the walk scores its choices straight from the loads and interns only the
+leaves of the tied best ones; every earlier mover scores its own utility on
+each id from the final loads, and deduplication hashes small ints.  For
+`spoa` each last decision also takes the best welfare among its choices,
+which every profile reaches through some state, so the optimum comes from
+the same walk.  `spe_solve` runs the one plain walk, `_solve`, in either
+mode; the modes differ only in how a mover merges its children.  It
+reports profiles, and it is the reference the memoized walk is tested
+against.  Both walks place single-strategy movers once, before they start,
+since those movers make no decision.
 
 Strategy lists themselves are exponentially large and never materialized;
 outcomes are certified through achievable continuation values instead.
@@ -133,35 +136,67 @@ def _achievable(ev: Evaluator, order, agent: int | None = None):
     """Outcomes achievable under some tie-breaking, by memoized backward
     induction.
 
-    Returns the root's outcome ids and `finals`, where ``finals[id]`` is
-    the leaf's final loads and `agent`'s choice in it (0 without `agent`).
-    The root's ids stand for the outcomes exhaustive `_solve` returns, with
-    outcomes that agree on both merged into one.
+    Returns the root's outcome ids, `finals`, where ``finals[id]`` is the
+    leaf's final loads and `agent`'s choice in it (0 without `agent`), and
+    the optimal welfare over all profiles, which is tracked only without
+    `agent` (0 with it).  The root's ids stand for the outcomes exhaustive
+    `_solve` returns, with outcomes that agree on both merged into one.
     """
     loads, choices, active = ev.preplace(order)
+    if not active:
+        return (0,), [(tuple(loads), 0)], ev.welfare(loads)
     spaces, weights, terms, share = ev.spaces, ev.weights, ev.terms, ev.share
+    values = ev.values
     depth = len(active)
     # from this depth on, the queried agent's choice is part of the state
     moved = active.index(agent) + 1 if agent in active else depth + 1
     ids: dict = {}  # (final loads, queried choice) -> outcome id
     finals: list = []  # outcome id -> (final loads, queried choice)
     table: dict = {}  # state -> its achievable outcome ids
+    opt = 0
 
     def walk(t: int):
+        nonlocal opt
         state = tuple(loads)
-        if t == depth:
-            leaf = (state, 0 if agent is None else choices[agent])
-            oid = ids.get(leaf)
-            if oid is None:
-                oid = ids[leaf] = len(finals)
-                finals.append(leaf)
-            return (oid,)
         key = (t, state, choices[agent]) if t >= moved else (t, state)
         merged = table.get(key)
         if merged is not None:
             return merged
         mover = active[t]
         w = weights[mover]
+        if t == depth - 1:
+            # Each child is a single leaf, so the merge keeps exactly the
+            # mover's best choices: score them from the loads, and intern
+            # only their leaves.
+            scores = []
+            for mine in terms[mover]:
+                u = 0
+                for j, wv in mine:
+                    u += wv * share[loads[j] + w]
+                scores.append(u)
+            best = max(scores)
+            merged = set()
+            for s, u in enumerate(scores):
+                if u == best:
+                    final = loads[:]
+                    for j in spaces[mover][s]:
+                        final[j] += w
+                    choices[mover] = s
+                    leaf = (tuple(final), 0 if agent is None else choices[agent])
+                    oid = ids.get(leaf)
+                    if oid is None:
+                        oid = ids[leaf] = len(finals)
+                        finals.append(leaf)
+                    merged.add(oid)
+            if agent is None:
+                # the best profile through this state covers what the loads
+                # cover plus the most value the mover adds on empty nodes
+                covered = ev.welfare(loads)
+                for nodes in spaces[mover]:
+                    added = sum(values[j] for j in nodes if not loads[j])
+                    opt = max(opt, covered + added)
+            merged = table[key] = tuple(merged)
+            return merged
         scored = []  # per choice: (mover's utility, outcome id) pairs
         for s, nodes in enumerate(spaces[mover]):
             choices[mover] = s
@@ -187,7 +222,7 @@ def _achievable(ev: Evaluator, order, agent: int | None = None):
         return merged
 
     try:
-        return walk(0), finals
+        return walk(0), finals, opt
     finally:
         del walk  # the closure refers to itself; free the table now, not at gc
 
@@ -257,7 +292,7 @@ def spe_decision(
     threshold = Fraction(threshold)
     _check_budget(game.instance, budget)
     ev = Evaluator(game.instance)
-    roots, finals = _achievable(ev, game.order, agent)
+    roots, finals, _ = _achievable(ev, game.order, agent)
     terms, share = ev.terms[agent], ev.share
     best = max(
         sum(wv * share[loads[j]] for j, wv in terms[choice])
@@ -271,8 +306,6 @@ def spoa(game: SequentialGame, budget: int = DEFAULT_BUDGET) -> Fraction:
     outcome under any tie-breaking."""
     _check_budget(game.instance, budget)
     ev = Evaluator(game.instance)
-    roots, finals = _achievable(ev, game.order)
+    roots, finals, opt = _achievable(ev, game.order)
     worst = min(ev.welfare(finals[o][0]) for o in roots)
-    # every profile's loads were interned, so the optimum is among them
-    opt = max(ev.welfare(loads) for loads, _ in finals)
     return Fraction(opt, worst)

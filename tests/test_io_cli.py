@@ -118,6 +118,32 @@ def test_unknown_node_reference_rejected():
         io.loads_instance(json.dumps(data))
 
 
+@pytest.mark.parametrize(
+    "entry, index, field, message",
+    [
+        ("nodes", 1, "id", "nodes[1]: missing field 'id'"),
+        ("nodes", 1, "value", "node 'q2': missing field 'value'"),
+        ("agents", 0, "id", "agents[0]: missing field 'id'"),
+        ("agents", 0, "weight", "agent 'a1': missing field 'weight'"),
+        ("agents", 0, "strategies", "agent 'a1': missing field 'strategies'"),
+    ],
+)
+def test_instance_missing_field_named(entry, index, field, message):
+    data = json.loads(io.dumps_instance(build_named_instance("example1")))
+    del data[entry][index][field]
+    with pytest.raises(ValueError) as err:
+        io.loads_instance(json.dumps(data))
+    assert str(err.value) == message
+
+
+def test_game_missing_field_named():
+    data = json.loads(io.dumps_game(build_named_instance("spoa-two-agent")))
+    data["nodes"][0]["name"] = data["nodes"][0].pop("id")
+    with pytest.raises(ValueError) as err:
+        io.loads_game(json.dumps(data))
+    assert str(err.value) == "nodes[0]: missing field 'id'"
+
+
 def test_duplicate_node_within_strategy_rejected():
     data = {
         "nodes": [{"id": "q1", "value": 1}],
@@ -474,6 +500,23 @@ def test_cli_analyze_rejects_file_without_agents(tmp_path, capsys):
     graph_file.write_text(json.dumps({"vertices": 2, "edges": [[0, 1, 1]]}))
     assert run_cli(["analyze", str(graph_file)]) == 2
     assert "no agents" in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("kind", ["symmetrize", "unionize", "split"])
+@pytest.mark.parametrize(
+    "agents",
+    [[], [{"id": "a1", "weight": 1, "strategies": [[]]}]],
+    ids=["no-agents", "empty-strategy"],
+)
+def test_cli_gadget_refuses_invalid_instance_like_analyze(
+    tmp_path, capsys, kind, agents
+):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"nodes": [{"id": "q1", "value": 1}], "agents": agents}))
+    assert run_cli(["analyze", str(path)]) == 2
+    refusal = _single_error_line(capsys)
+    assert run_cli(["gadget", kind, str(path)]) == 2
+    assert _single_error_line(capsys) == refusal
 
 
 def test_cli_gadget_tqbf_pad(tmp_path, capsys):

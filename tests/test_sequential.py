@@ -237,9 +237,36 @@ SWAPPED_CHOICES = SequentialGame(
 )
 
 
+def _game(values, spaces, order=None) -> SequentialGame:
+    """Unit-weight game over nodes of the given values; `spaces` lists each
+    agent's strategies as node-index tuples."""
+    inst = Instance.build(
+        [(f"q{j + 1}", v) for j, v in enumerate(values)],
+        [(f"a{i + 1}", 1, space) for i, space in enumerate(spaces)],
+    )
+    return SequentialGame(inst, order or tuple(range(len(spaces))))
+
+
+# The last mover a2 is indifferent between q1 (2/2) and q3 (1) after a1
+# takes q1 and q2, but a1 gets 2 or 3: every tied choice must survive.
+LAST_MOVER_TIE = _game([2, 1, 1], [[(0, 1), (1,)], [(0,), (2,)]])
+# No agent has a choice: the walk has no decision to make.
+NO_DECISION = _game([1, 2], [[(0,)], [(0, 1)]])
+# a2, the only agent with a choice, makes the last real decision and is
+# queried.
+ONE_ACTIVE = _game([1, 3, 1], [[(1,)], [(0,), (1, 2)]], (1, 0))
+# a2 crowds onto q1 in every SPE outcome; the optimum (0, 1), welfare 8,
+# is that outcome with a2 on q2 instead, a leaf the last mover never picks.
+OPT_OFF_PATH = _game([6, 2, 1], [[(0,), (2,)], [(0,), (1,)]])
+
+
 @settings(max_examples=200, deadline=None)
 @given(colliding_games())
 @example(SWAPPED_CHOICES)
+@example(LAST_MOVER_TIE)
+@example(NO_DECISION)
+@example(ONE_ACTIVE)
+@example(OPT_OFF_PATH)
 def test_memoized_walk_matches_exhaustive_reference(game):
     """spoa and spe_decision against the unmemoized exhaustive walk, with
     every agent queried: singleton-space agents and the last mover too."""
