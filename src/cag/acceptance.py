@@ -431,8 +431,12 @@ def run_criterion(criterion: Criterion) -> tuple[bool, str]:
 
 def run_all(names: Iterable[str] | None = None) -> bool:
     """Run (a filtered subset of) the acceptance criteria, printing one
-    pass/fail line each; returns overall success."""
+    pass/fail line each; returns overall success.  Raises ValueError naming
+    any of `names` that is not a criterion."""
     wanted = set(names) if names is not None else None
+    unknown = sorted(wanted - {c.name for c in CRITERIA}) if wanted else []
+    if unknown:
+        raise ValueError(f"unknown criterion {', '.join(map(repr, unknown))}")
     all_ok = True
     for criterion in CRITERIA:
         if wanted is not None and criterion.name not in wanted:

@@ -4,7 +4,8 @@ One binary exposes every operation with stable file formats: instances,
 profiles, and games are JSON documents; reports serialize rationals as
 "p/q" strings so outputs are byte-identical across runs.  Exit codes:
 0 success, 1 domain errors (no equilibrium, budget exceeded, failed
-verification), 2 input errors.
+verification), 2 input errors (one line naming the bad flag, file or
+field).  Any other exception is a bug and surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -406,7 +407,7 @@ def run_cli(argv=None) -> int:
     except (BudgetError, NoEquilibriumError) as exc:
         print(f"cag: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, IndexError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"cag: {exc}", file=sys.stderr)
         return 2
 

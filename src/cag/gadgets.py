@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .equilibria import DEFAULT_BUDGET
-from .model import Agent, BudgetError, Instance, Node, StrategyProfile
+from .model import Agent, BudgetError, Instance, Node, StrategyProfile, check_build_size
 from .potentials import harmonic_numbers
 from .sequential import SequentialGame
 
@@ -89,6 +89,9 @@ def split_unit_values(inst: Instance) -> ReductionOutput:
     """Split every node of value v into v unit-value nodes, substituted into
     every strategy.  Utilities of every profile are unchanged; the induced
     profile map is the identity."""
+    values = inst.values
+    entries = sum(values[j] for a in inst.agents for s in a.strategies for j in s)
+    check_build_size(sum(values) + entries, "the unit split")
     taken = {n.id for n in inst.nodes}
     nodes: list[Node] = []
     groups: list[tuple[int, ...]] = []
@@ -428,23 +431,26 @@ def maxcut_to_cag(graph: CutGraph) -> ReductionOutput:
     """
     if graph.num_vertices < 1 or not graph.edges:
         raise ValueError("graph must have at least one edge")
-    touched = {x for u, v, _ in graph.edges for x in (u, v)}
-    isolated = [i for i in range(graph.num_vertices) if i not in touched]
-    if isolated:
-        raise ValueError(f"isolated vertices not supported: {isolated}")
-
     w_bar = max(w for _, _, w in graph.edges)
-    gadget_cache = {w: edge_gadget_terms(w_bar, w) for w in {e[2] for e in graph.edges}}
-    # each edge pins d dummies to each node of a pair, for every d listed
+    n = max(1, (w_bar - 1).bit_length())  # as in edge_gadget_terms
+    terms = {w: decompose_fraction(n, w).terms for w in {e[2] for e in graph.edges}}
+    # each edge pins d dummies to each node of a pair, for every d its gadget
+    # lists; a term c/b lists d = 0, ..., b - 2 |c| times (_expand_unit_fraction),
+    # so the count is known before any gadget is built
     num_agents = graph.num_vertices + sum(
-        2 * (sum(gadget_cache[w].d_plus) + sum(gadget_cache[w].d_minus))
-        for _, _, w in graph.edges
+        abs(c) * (b - 1) * (b - 2) for _, _, w in graph.edges for b, c in terms[w]
     )
     if num_agents > _MAX_REDUCTION_AGENTS:
         raise BudgetError(
             f"search-space-too-large: the reduction needs {num_agents} "
             f"agents, more than {_MAX_REDUCTION_AGENTS}"
         )
+    touched = {x for u, v, _ in graph.edges for x in (u, v)}
+    isolated = [i for i in range(graph.num_vertices) if i not in touched]
+    if isolated:
+        raise ValueError(f"isolated vertices not supported: {isolated}")
+
+    gadget_cache = {w: edge_gadget_terms(w_bar, w) for w in terms}
 
     nodes: list[Node] = []
     dummies: list[Agent] = []
@@ -581,6 +587,12 @@ def tdm_to_cag(tdm: ThreeDMInstance, symmetrize: bool = False) -> ReductionOutpu
     """
     if not tdm.triples:
         raise ValueError("matching instance must have at least one triple")
+    n, t = tdm.n, len(tdm.triples)
+    # each matching agent lists the t triples and n fallbacks, of <= 3 nodes
+    entries = 3 * n * (t + n)
+    if symmetrize:  # then every agent lists every strategy plus a reserve node
+        entries += 4 * (n + 2) * (n * (t + n) + 4)
+    check_build_size(5 * n + 14 + entries, "the 3dm reduction")
     nodes = [Node("q1", 2), Node("q2", 1), Node("q3", 1), Node("q4", 2)]
     index: dict[str, int] = {}
     for cls in ("x", "y", "z"):
@@ -709,6 +721,8 @@ def tqbf_to_cag(formula: TqbfFormula) -> ReductionOutput:
         raise ValueError("formula must have at least one clause")
     n_prime = (n - 1) // 2
     nc = len(formula.clauses)
+    # variable agents 2 x 2 nodes, the picker nc x nc, the checker 3nc x 3
+    check_build_size(6 * n + nc * (nc + 10) + 20, "the qbf reduction")
 
     nodes = [Node("qE", 1), Node("qA", 1)]
     clause_idx = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .model import Instance
+from .model import Instance, check_build_size
 
 __all__ = ["GENERATOR_KINDS", "gen_random"]
 
@@ -70,10 +70,14 @@ def gen_random(
     ):
         if bound is not None and bound < 1:
             raise ValueError(f"{name} must be at least 1, got {bound}")
-    rng = random.Random(seed)
     max_size = num_nodes
     if max_strategy_size is not None:
         max_size = min(max_strategy_size, num_nodes)
+    # agent 0 may get one extra strategy of up to num_nodes nodes
+    check_build_size(
+        2 * num_nodes + num_agents * num_strategies * max_size, "the generator"
+    )
+    rng = random.Random(seed)
 
     if kind in ("symmetric", "w-asymmetric"):
         shared = _random_space(rng, num_nodes, num_strategies, max_size)

@@ -26,7 +26,7 @@ ValueError.
 
 from __future__ import annotations
 
-from .model import Instance
+from .model import Instance, check_build_size
 from .sequential import SequentialGame
 
 __all__ = ["build_named_instance", "NAMED_INSTANCES"]
@@ -53,6 +53,7 @@ def _poa_lb(n: int, m: int) -> Instance:
         raise ValueError("poa-lb requires n > m")
     if m < 1:
         raise ValueError("poa-lb requires m >= 1")
+    check_build_size(n * (m + 1), "the named instance")
     space = [list(range(m))] + [[j] for j in range(m, n)]
     return Instance.build(
         nodes=[(f"q{j + 1}", 1) for j in range(n)],

@@ -2,8 +2,10 @@
 reports.
 
 Rationals always serialize as ``"p/q"`` strings, never floats, so
-downstream diffs are exact.  Parsers reject duplicate ids and report the
-offending line (best effort on pretty-printed files).
+downstream diffs are exact.  Loaders read parsed JSON only through `_field`,
+`_list` and `_int`, so a malformed file raises one ValueError naming the
+entry and the field; a duplicate id also names its line (best effort on
+pretty-printed files).  Any other exception from a loader is a bug.
 """
 
 from __future__ import annotations
@@ -70,7 +72,10 @@ def _definition_line(text: str, id_value: str) -> int:
 
 
 def _json(text: str) -> dict:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
     return data
@@ -114,24 +119,34 @@ def _int(value, what: str, positive: bool = False) -> int:
     return value
 
 
-def _missing(entry, fields, kind: str, k: int) -> ValueError:
-    """The error for the k-th entry of the `kind` list, which is not an
-    object or lacks one of `fields`: it names the entry and the field."""
-    if not isinstance(entry, dict):
-        return ValueError(f"{kind}s[{k}] must be a JSON object, got {entry!r}")
-    what = f"{kind} {str(entry['id'])!r}" if "id" in entry else f"{kind}s[{k}]"
-    field = next(f for f in fields if f not in entry)
-    return ValueError(f"{what}: missing field {field!r}")
+def _field(obj, key: str, where: str):
+    """`obj[key]`; `obj`, the entry named by `where`, must be a JSON object."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {obj!r}")
+    if key not in obj:
+        raise ValueError(f"{where}: missing field {key!r}")
+    return obj[key]
+
+
+def _list(value, what: str, size: int | None = None) -> list:
+    """`value` itself if it is a JSON list, of `size` items if given."""
+    if not isinstance(value, list) or size is not None and len(value) != size:
+        kind = "a list" if size is None else f"a list of {size} items"
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
+    return value
+
+
+def _profile(value, what: str) -> StrategyProfile:
+    choices = _list(value, f"{what} choices")
+    return StrategyProfile(tuple(_int(c, f"{what} choice") for c in choices))
 
 
 def _instance_from_dict(data: dict, text: str) -> Instance:
     nodes = []
     index: dict[str, int] = {}
-    for k, entry in enumerate(data.get("nodes", [])):
-        try:
-            node_id, value = str(entry["id"]), entry["value"]
-        except (KeyError, TypeError):
-            raise _missing(entry, ("id", "value"), "node", k) from None
+    for k, entry in enumerate(_list(data.get("nodes", []), "nodes")):
+        node_id = str(_field(entry, "id", f"nodes[{k}]"))
+        value = _field(entry, "value", f"node {node_id!r}")
         if node_id in index:
             raise ValueError(
                 f"duplicate node id {node_id!r} "
@@ -143,12 +158,11 @@ def _instance_from_dict(data: dict, text: str) -> Instance:
 
     agents = []
     seen: set[str] = set()
-    for k, entry in enumerate(data.get("agents", [])):
-        try:
-            agent_id = str(entry["id"])
-            space, weight = entry["strategies"], entry["weight"]
-        except (KeyError, TypeError):
-            raise _missing(entry, ("id", "strategies", "weight"), "agent", k) from None
+    for k, entry in enumerate(_list(data.get("agents", []), "agents")):
+        agent_id = str(_field(entry, "id", f"agents[{k}]"))
+        where = f"agent {agent_id!r}"
+        space = _list(_field(entry, "strategies", where), f"{where}: strategies")
+        weight = _field(entry, "weight", where)
         if agent_id in seen:
             raise ValueError(
                 f"duplicate agent id {agent_id!r} "
@@ -156,20 +170,17 @@ def _instance_from_dict(data: dict, text: str) -> Instance:
             )
         seen.add(agent_id)
         strategies = []
+        what = f"{where}: strategy"
         for strategy in space:
             refs = []
-            for ref in strategy:
-                if ref not in index:
-                    raise ValueError(
-                        f"agent {agent_id!r}: unknown node id {ref!r}"
-                    )
+            for ref in _list(strategy, what):
+                if not isinstance(ref, str) or ref not in index:
+                    raise ValueError(f"{where}: unknown node id {ref!r}")
                 refs.append(index[ref])
             if len(set(refs)) != len(refs):
-                raise ValueError(
-                    f"agent {agent_id!r}: duplicate node in strategy {strategy}"
-                )
+                raise ValueError(f"{where}: duplicate node in strategy {strategy}")
             strategies.append(tuple(sorted(refs)))
-        weight = _int(weight, f"agent {agent_id!r}: weight", positive=True)
+        weight = _int(weight, f"{where}: weight", positive=True)
         agents.append(Agent(agent_id, weight, tuple(strategies)))
     return Instance(tuple(nodes), tuple(agents))
 
@@ -179,8 +190,7 @@ def dumps_profile(profile: StrategyProfile) -> str:
 
 
 def loads_profile(text: str) -> StrategyProfile:
-    data = _json(text)
-    return StrategyProfile(tuple(_int(c, "profile choice") for c in data["choices"]))
+    return _profile(_field(_json(text), "choices", "profile"), "profile")
 
 
 def dumps_game(game: SequentialGame) -> str:
@@ -195,11 +205,12 @@ def loads_game(text: str) -> SequentialGame:
     if "order" not in data:
         return SequentialGame.natural(inst)
     index = {a.id: i for i, a in enumerate(inst.agents)}
-    try:
-        order = tuple(index[ref] for ref in data["order"])
-    except KeyError as exc:
-        raise ValueError(f"order references unknown agent id {exc.args[0]!r}")
-    return SequentialGame(inst, order)
+    order = []
+    for ref in _list(_field(data, "order", "game"), "order"):
+        if not isinstance(ref, str) or ref not in index:
+            raise ValueError(f"order references unknown agent id {ref!r}")
+        order.append(index[ref])
+    return SequentialGame(inst, tuple(order))
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +224,12 @@ def dumps_graph(graph: CutGraph) -> str:
 
 def loads_graph(text: str) -> CutGraph:
     data = _json(text)
+    edges = _list(_field(data, "edges", "graph"), "edges")
     return CutGraph(
-        _int(data["vertices"], "vertices"),
+        _int(_field(data, "vertices", "graph"), "vertices"),
         tuple(
             (_int(u, "edge end"), _int(v, "edge end"), _int(w, "edge weight"))
-            for u, v, w in data["edges"]
+            for u, v, w in (_list(e, f"edges[{k}]", 3) for k, e in enumerate(edges))
         ),
     )
 
@@ -229,11 +241,12 @@ def dumps_tdm(tdm: ThreeDMInstance) -> str:
 
 def loads_tdm(text: str) -> ThreeDMInstance:
     data = _json(text)
+    triples = _list(_field(data, "triples", "matching instance"), "triples")
     return ThreeDMInstance(
-        _int(data["n"], "n"),
+        _int(_field(data, "n", "matching instance"), "n"),
         tuple(
-            tuple(_int(c, "triple coordinate") for c in (x, y, z))
-            for x, y, z in data["triples"]
+            tuple(_int(c, "triple coordinate") for c in _list(t, f"triples[{k}]", 3))
+            for k, t in enumerate(triples)
         ),
     )
 
@@ -245,11 +258,12 @@ def dumps_tqbf(formula: TqbfFormula) -> str:
 
 def loads_tqbf(text: str) -> TqbfFormula:
     data = _json(text)
+    clauses = _list(_field(data, "clauses", "formula"), "clauses")
     return TqbfFormula(
-        _int(data["vars"], "vars"),
+        _int(_field(data, "vars", "formula"), "vars"),
         tuple(
-            tuple(_int(lit, "literal") for lit in clause)
-            for clause in data["clauses"]
+            tuple(_int(lit, "literal") for lit in _list(c, f"clauses[{k}]"))
+            for k, c in enumerate(clauses)
         ),
     )
 
@@ -272,13 +286,14 @@ def dumps_report(report: EquilibriumReport) -> str:
 
 def loads_report(text: str) -> EquilibriumReport:
     data = _json(text)
-    poa = data["poa"]
+    keys = ("pne", "opt-welfare", "opt-profile", "poa", "profile-count-scanned")
+    pne, welfare, opt, poa, scanned = (_field(data, k, "report") for k in keys)
     return EquilibriumReport(
-        pne=tuple(StrategyProfile(tuple(p)) for p in data["pne"]),
-        opt_welfare=int(data["opt-welfare"]),
-        opt_profile=StrategyProfile(tuple(data["opt-profile"])),
+        pne=tuple(_profile(p, "pne") for p in _list(pne, "pne")),
+        opt_welfare=_int(welfare, "opt-welfare"),
+        opt_profile=_profile(opt, "opt-profile"),
         poa=None if poa == "undefined-no-pne" else parse_rational(poa),
-        profiles_scanned=int(data["profile-count-scanned"]),
+        profiles_scanned=_int(scanned, "profile-count-scanned"),
     )
 
 
@@ -300,12 +315,15 @@ def loads_spe_result(text: str) -> SpeResult:
     data = _json(text)
     outcomes = tuple(
         SpeOutcome(
-            profile=StrategyProfile(tuple(o["profile"])),
-            utilities=tuple(parse_rational(u) for u in o["utilities"]),
+            profile=_profile(_field(o, "profile", f"outcomes[{k}]"), "outcome"),
+            utilities=tuple(
+                parse_rational(u)
+                for u in _list(_field(o, "utilities", f"outcomes[{k}]"), "utilities")
+            ),
         )
-        for o in data["outcomes"]
+        for k, o in enumerate(_list(_field(data, "outcomes", "result"), "outcomes"))
     )
-    return SpeResult(outcomes=outcomes, mode=data["mode"])
+    return SpeResult(outcomes=outcomes, mode=_field(data, "mode", "result"))
 
 
 def dumps_trace(trace: DynamicsTrace) -> str:
@@ -336,22 +354,22 @@ def dumps_trace(trace: DynamicsTrace) -> str:
 
 
 def loads_trace(text: str) -> DynamicsTrace:
-    lines = [json.loads(line) for line in text.splitlines() if line.strip()]
+    lines = [_json(line) for line in text.splitlines() if line.strip()]
     if not lines or "termination" not in lines[-1]:
         raise ValueError("trace must end with a summary record")
     summary = lines[-1]
     steps = tuple(
         DynamicsStep(
-            agent=int(rec["agent"]),
-            old=int(rec["from"]),
-            new=int(rec["to"]),
-            gain=parse_rational(rec["gain"]),
+            agent=_int(_field(rec, "agent", f"step {k}"), "agent"),
+            old=_int(_field(rec, "from", f"step {k}"), "from"),
+            new=_int(_field(rec, "to", f"step {k}"), "to"),
+            gain=parse_rational(_field(rec, "gain", f"step {k}")),
         )
-        for rec in lines[:-1]
+        for k, rec in enumerate(lines[:-1], 1)
     )
     return DynamicsTrace(
-        start=StrategyProfile(tuple(summary["start"])),
+        start=_profile(_field(summary, "start", "summary"), "start"),
         steps=steps,
-        final=StrategyProfile(tuple(summary["final"])),
-        termination=summary["termination"],
+        final=_profile(_field(summary, "final", "summary"), "final"),
+        termination=_field(summary, "termination", "summary"),
     )

@@ -45,6 +45,17 @@ class BudgetError(RuntimeError):
     ("search-space-too-large")."""
 
 
+def check_build_size(size: int, what: str) -> None:
+    """Raise BudgetError if `size`, an upper bound on the nodes plus strategy
+    entries that `what` would build, exceeds DEFAULT_BUDGET.  Builders that
+    take a size from input call this before allocating."""
+    if size > DEFAULT_BUDGET:
+        raise BudgetError(
+            f"search-space-too-large: {what} would build {size} nodes and "
+            f"strategy entries, more than {DEFAULT_BUDGET}"
+        )
+
+
 class NoEquilibriumError(RuntimeError):
     """Raised when an operation needs a pure Nash equilibrium but the
     instance has none ("no-pne")."""

@@ -1,10 +1,14 @@
+import copy
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from io import StringIO
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cag import (
     CutGraph,
@@ -533,3 +537,232 @@ def test_cli_verify_single_criterion(capsys):
     assert run_cli(["verify", "--only", "payoff-matrix-with-dummy"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("PASS")
+
+
+_UNIT_INSTANCE = {
+    "nodes": [{"id": "q", "value": 1}],
+    "agents": [{"id": "a1", "weight": 1, "strategies": [["q"]]}],
+}
+
+
+def _with(key, value) -> dict:
+    """The unit instance with one top-level field, or agent a1's field
+    `strategies`, replaced."""
+    if key == "strategies":
+        agent = {**_UNIT_INSTANCE["agents"][0], key: value}
+        return {**_UNIT_INSTANCE, "agents": [agent]}
+    return {**_UNIT_INSTANCE, key: value}
+
+
+# (command, file contents, the one refusal line after "cag: ")
+_MALFORMED = [
+    ("profile", {"choices": 3}, "profile choices must be a list, got 3"),
+    ("profile", {"choice": [0]}, "profile: missing field 'choices'"),
+    ("maxcut", {"vertices": 2, "edges": 5}, "edges must be a list, got 5"),
+    (
+        "maxcut",
+        {"vertices": 2, "edges": [5]},
+        "edges[0] must be a list of 3 items, got 5",
+    ),
+    ("maxcut", {"vertices": 2}, "graph: missing field 'edges'"),
+    (
+        "maxcut",
+        {"vertices": 2, "edges": [[0, 1]]},
+        "edges[0] must be a list of 3 items, got [0, 1]",
+    ),
+    ("3dm", {"n": 1, "triples": None}, "triples must be a list, got None"),
+    (
+        "3dm",
+        {"n": 1, "triples": [[0, 0]]},
+        "triples[0] must be a list of 3 items, got [0, 0]",
+    ),
+    ("tqbf", {"vars": 3, "clauses": [1]}, "clauses[0] must be a list, got 1"),
+    ("tqbf", {"vars": 3, "clauses": ["abc"]}, "clauses[0] must be a list, got 'abc'"),
+    ("analyze", _with("strategies", 5), "agent 'a1': strategies must be a list, got 5"),
+    ("analyze", _with("strategies", [[["q"]]]), "agent 'a1': unknown node id ['q']"),
+    (
+        "analyze",
+        _with("strategies", ["q", ["q"]]),
+        "agent 'a1': strategy must be a list, got 'q'",
+    ),
+    ("analyze", _with("agents", None), "agents must be a list, got None"),
+    ("analyze", _with("nodes", {"a": 1}), "nodes must be a list, got {'a': 1}"),
+    ("spe", _with("order", 3), "order must be a list, got 3"),
+    ("spe", _with("order", [["a1"], "a2"]), "order references unknown agent id ['a1']"),
+    ("analyze", "[" * 100_000 + "]" * 100_000, "JSON nested too deeply"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, text, message", _MALFORMED, ids=[m for _, _, m in _MALFORMED]
+)
+def test_cli_refuses_malformed_file_with_one_line(
+    example1_file, tmp_path, capsys, command, text, message
+):
+    path = tmp_path / "input.json"
+    path.write_text(text if isinstance(text, str) else json.dumps(text))
+    argv = {
+        "profile": ["eval", str(example1_file), "--profile", str(path)],
+        "maxcut": ["gadget", "maxcut", str(path)],
+        "3dm": ["gadget", "3dm", str(path)],
+        "tqbf": ["gadget", "tqbf", str(path)],
+    }.get(command, [command, str(path)])
+    assert run_cli(argv) == 2
+    assert _single_error_line(capsys) == f"cag: {message}"
+
+
+@pytest.mark.parametrize(
+    "argv, data",
+    [
+        (["gen", "--kind", "symmetric", "--seed", "1", "--nodes", "100000000"], None),
+        (["gen", "--kind", "symmetric", "--seed", "1", "--agents", "100000000"], None),
+        (["gadget", "3dm", "FILE"], {"n": 5 * 10**7, "triples": [[0, 0, 0]]}),
+        (["gadget", "tqbf", "FILE"], {"vars": 99_999_999, "clauses": [[1, 2, 3]]}),
+        (["gadget", "poa-lb", "--n", "100000000", "--m", "1"], None),
+        (["gadget", "spoa-family", "--m", "100000000"], None),
+        (["gadget", "maxcut", "FILE"], {"vertices": 2**64, "edges": [[0, 1, 1]]}),
+        (["gadget", "maxcut", "FILE"], {"vertices": 2, "edges": [[0, 1, 2**300]]}),
+        (["gadget", "split", "FILE"], _with("nodes", [{"id": "q", "value": 2**64}])),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_cli_refuses_oversized_builds_before_allocating(tmp_path, argv, data):
+    """Each size is refused from a closed-form bound; the child process runs
+    under an 800 MB address-space limit, so a builder that allocated first
+    would fail with a MemoryError traceback instead."""
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    limit = 800 * 2**20
+    done = subprocess.run(
+        [sys.executable, "-m", "cag", *(str(path) if a == "FILE" else a for a in argv)],
+        env=src_env(), capture_output=True, text=True, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert done.returncode == 1, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cag: search-space-too-large: ")
+
+
+def test_cli_verify_refuses_unknown_criterion(capsys):
+    argv = ["verify", "--only", "payoff-matrix-with-dummy", "no-such-criterion"]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no criterion ran
+    assert captured.err == "cag: unknown criterion 'no-such-criterion'\n"
+
+
+# ---------------------------------------------------------------------------
+# fuzzed input files
+
+_FUZZ_BASES = {
+    "instance": io.dumps_instance(build_named_instance("example1-minus-dummy")),
+    "unit": io.dumps_instance(build_named_instance("poa-lb", n=3, m=2)),
+    "game": io.dumps_game(build_named_instance("spoa-two-agent")),
+    "profile": io.dumps_profile(StrategyProfile((0, 1))),
+    "graph": io.dumps_graph(CutGraph(3, ((0, 1, 2), (1, 2, 1)))),
+    "3dm": io.dumps_tdm(ThreeDMInstance(2, ((0, 1, 0), (1, 0, 1), (0, 0, 1)))),
+    "tqbf": io.dumps_tqbf(TqbfFormula(3, ((1, -2, 3), (-1, 2, -3)))),
+}
+
+# every subcommand that reads a file, with the base file it reads as FILE;
+# INST is the unmutated example instance
+_FUZZ_COMMANDS = [
+    ("instance", ["validate", "FILE"]),
+    ("instance", ["eval", "FILE", "--profile", "0,1"]),
+    ("instance", ["potential", "FILE", "--profile", "1,0", "--kind", "two-agent"]),
+    ("instance", ["dynamics", "FILE", "--mode", "alpha", "--max-steps", "20"]),
+    ("instance", ["analyze", "FILE"]),
+    ("instance", ["gadget", "symmetrize", "FILE", "--split"]),
+    ("unit", ["potential", "FILE", "--profile", "0,1", "--kind", "log"]),
+    ("unit", ["dynamics", "FILE", "--eps", "1/10", "--max-steps", "20"]),
+    ("unit", ["gadget", "unionize", "FILE"]),
+    ("unit", ["gadget", "split", "FILE"]),
+    ("game", ["spe", "FILE", "--mode", "exhaustive"]),
+    ("game", ["spoa", "FILE"]),
+    ("profile", ["eval", "INST", "--profile", "FILE"]),
+    ("profile", ["potential", "INST", "--profile", "FILE"]),
+    ("profile", ["dynamics", "INST", "--start", "FILE", "--max-steps", "20"]),
+    ("graph", ["gadget", "maxcut", "FILE"]),
+    ("3dm", ["gadget", "3dm", "FILE", "--symmetrize"]),
+    ("tqbf", ["gadget", "tqbf", "FILE", "--pad"]),
+]
+
+# a wrong JSON type, a negative, huge or out-of-range int, an empty list
+_REPLACEMENTS = [None, True, 1.5, "q1", {}, [], [[]], -1, 0, 3, 2**64]
+
+
+def _slots(node):
+    """Every (container, key) pair in a parsed JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in list(items):
+        yield node, key
+        if isinstance(child, (dict, list)):
+            yield from _slots(child)
+
+
+@st.composite
+def _mutated(draw, text: str) -> bytes:
+    """`text` with one to three mutations: a dropped key or item, a replaced
+    value, a duplicated item (a duplicate id in an id list), or a byte that
+    is not valid UTF-8."""
+    if draw(st.integers(0, 9)) == 0:
+        raw = text.encode()
+        k = draw(st.integers(0, len(raw)))
+        return raw[:k] + b"\xff" + raw[k:]
+    data = json.loads(text)
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_slots(data))
+        if not slots:
+            break
+        parent, key = draw(st.sampled_from(slots))
+        action = draw(st.sampled_from(["drop", "replace", "duplicate"]))
+        if action == "drop":
+            del parent[key]
+        elif action == "replace":
+            parent[key] = copy.deepcopy(draw(st.sampled_from(_REPLACEMENTS)))
+        elif isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+    return json.dumps(data).encode()
+
+
+def _parses_back(command: str, out: str) -> None:
+    if command == "analyze":
+        io.loads_report(out)
+    elif command == "spe":
+        io.loads_spe_result(out)
+    elif command == "dynamics":
+        io.loads_trace(out)
+    elif command == "gadget":
+        data = json.loads(out)
+        io.loads_game(json.dumps(data.get("instance", data)))
+    else:
+        json.loads(out)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_cli_fuzzed_files_exit_cleanly(tmp_path_factory, data):
+    """No exception escapes `run_cli` on a mutated input file: it exits 0
+    with output that parses back, or 1 or 2 with one `cag: ` line."""
+    kind, argv = data.draw(st.sampled_from(_FUZZ_COMMANDS))
+    directory = tmp_path_factory.mktemp("fuzz", numbered=True)
+    inst, path = directory / "inst.json", directory / "input.json"
+    inst.write_text(_FUZZ_BASES["instance"])
+    path.write_bytes(data.draw(_mutated(_FUZZ_BASES[kind])))
+    argv = [{"FILE": str(path), "INST": str(inst)}.get(a, a) for a in argv]
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = run_cli(argv)
+    out, err = out.getvalue(), err.getvalue()
+    lines = err.splitlines()
+    if rc == 0:
+        assert not err
+        _parses_back(argv[0], out)
+    elif argv[0] == "validate" and out:  # the report, its errors on stderr
+        assert rc == 2 and lines == ["; ".join(json.loads(out)["errors"])]
+    elif argv[0] == "dynamics" and out:  # stopped at the step limit
+        assert rc == 1 and not err
+        assert io.loads_trace(out).termination == "step-limit"
+    else:
+        assert rc in (1, 2) and len(lines) == 1 and lines[0].startswith("cag: ")
