@@ -18,7 +18,6 @@ from .dynamics import (
 )
 from .engine import Evaluator
 from .equilibria import (
-    DEFAULT_BUDGET,
     EquilibriumReport,
     analyze,
     enumerate_pne,
@@ -54,6 +53,7 @@ from .gadgets import (
 from .generators import GENERATOR_KINDS, gen_random
 from .instances import NAMED_INSTANCES, build_named_instance
 from .model import (
+    DEFAULT_BUDGET,
     Agent,
     BudgetError,
     Instance,

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import io
 from .acceptance import CRITERIA, run_all
 from .dynamics import DynamicsConfig, min_alpha, run_dynamics
-from .equilibria import DEFAULT_BUDGET, analyze
+from .equilibria import analyze
 from .gadgets import (
     maxcut_to_cag,
     pad_tqbf,
@@ -34,6 +34,7 @@ from .gadgets import (
 from .generators import GENERATOR_KINDS, gen_random
 from .instances import NAMED_INSTANCES, build_named_instance
 from .model import (
+    DEFAULT_BUDGET,
     BudgetError,
     NoEquilibriumError,
     StrategyProfile,
@@ -106,7 +107,10 @@ def _emit(args, text: str) -> None:
 def _profile_arg(value: str) -> StrategyProfile:
     if os.path.exists(value):
         return io.loads_profile(_read(value))
-    return StrategyProfile(tuple(int(c) for c in value.split(",")))
+    fields = [io._NUMBER.fullmatch(c) for c in value.split(",")]
+    if not all(m and m[2] is None for m in fields):
+        raise ValueError(f"malformed profile {value!r}: expected integers like 0,1,0")
+    return StrategyProfile(tuple(int(m[1]) for m in fields))
 
 
 def _jsonable(obj):

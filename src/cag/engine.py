@@ -132,12 +132,11 @@ class Evaluator:
         `new_choice`, with everyone else fixed."""
         w = self.weights[agent]
         current = self.space_sets[agent][choices[agent]]
-        values = self.values
         share = self.share
         total = 0
-        for j in self.spaces[agent][new_choice]:
+        for j, wv in self.terms[agent][new_choice]:
             c = loads[j] if j in current else loads[j] + w
-            total += w * values[j] * share[c]
+            total += wv * share[c]
         return total
 
     def welfare(self, loads) -> int:

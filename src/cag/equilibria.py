@@ -16,11 +16,12 @@ representative expands to its whole orbit, and the expanded list is sorted;
 reports are the same as a full scan of the profile space would give, and
 `profiles_scanned` is the size of that space.
 
-A budget guard makes infeasible instances fail loudly instead of being
-silently sampled: no general efficient method exists for these questions,
-so exhaustive search is the only exactness-preserving oracle.  `analyze`
-can deal the choices of the first agent that has a choice round-robin to
-worker processes (at most one per CPU); results merge deterministically.
+A budget guard, `model.check_budget`, makes infeasible instances fail loudly
+instead of being silently sampled: no general efficient method exists for
+these questions, so exhaustive search is the only exactness-preserving
+oracle.  `analyze` can deal the choices of the first agent that has a choice
+round-robin to worker processes (at most one per CPU); results merge
+deterministically.
 """
 
 from __future__ import annotations
@@ -32,15 +33,14 @@ from fractions import Fraction
 from .engine import Evaluator
 from .model import (
     DEFAULT_BUDGET,
-    BudgetError,
     Instance,
     NoEquilibriumError,
     StrategyProfile,
+    check_budget,
     check_profile,
 )
 
 __all__ = [
-    "DEFAULT_BUDGET",
     "EquilibriumReport",
     "analyze",
     "enumerate_pne",
@@ -58,15 +58,6 @@ class EquilibriumReport:
     opt_profile: StrategyProfile
     poa: Fraction | None  # None when the instance has no equilibrium
     profiles_scanned: int
-
-
-def _check_budget(inst: Instance, budget: int) -> int:
-    size = inst.profile_space_size()
-    if size > budget:
-        raise BudgetError(
-            f"search-space-too-large: {size} profiles exceed budget {budget}"
-        )
-    return size
 
 
 def is_approx_pne(
@@ -231,7 +222,7 @@ def analyze(
     round-robin to at most `_worker_count(jobs)` processes; the merge is
     deterministic."""
     jobs = _worker_count(jobs)
-    size = _check_budget(inst, budget)
+    size = check_budget(inst, budget)
     ev = Evaluator(inst)
     # choices of the first agent that has a choice, split among workers
     top = next((len(s) for s in ev.spaces if len(s) > 1), 1)
@@ -266,14 +257,14 @@ def enumerate_pne(
     inst: Instance, budget: int = DEFAULT_BUDGET
 ) -> list[StrategyProfile]:
     """Exactly the set of pure Nash equilibria, in lexicographic order."""
-    _check_budget(inst, budget)
+    check_budget(inst, budget)
     reps, _, _ = _walk(Evaluator(inst))
     return [StrategyProfile(c) for c in _expand(inst, reps)]
 
 
 def pne_exists(inst: Instance, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff the instance has at least one pure Nash equilibrium."""
-    _check_budget(inst, budget)
+    check_budget(inst, budget)
     reps, _, _ = _walk(Evaluator(inst), first_pne=True)
     return bool(reps)
 
@@ -282,7 +273,7 @@ def optimal_social_welfare(
     inst: Instance, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, StrategyProfile]:
     """Maximal social welfare and its lexicographically-first witness."""
-    _check_budget(inst, budget)
+    check_budget(inst, budget)
     _, best_welfare, best_profile = _walk(Evaluator(inst), test_pne=False)
     return best_welfare, StrategyProfile(best_profile)
 

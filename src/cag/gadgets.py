@@ -28,8 +28,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .equilibria import DEFAULT_BUDGET
-from .model import Agent, BudgetError, Instance, Node, StrategyProfile, check_build_size
+from .model import (
+    DEFAULT_BUDGET,
+    Agent,
+    BudgetError,
+    Instance,
+    Node,
+    StrategyProfile,
+    check_build_size,
+)
 from .potentials import harmonic_numbers
 from .sequential import SequentialGame
 

@@ -11,9 +11,9 @@
   space ``{q1..qm}, {q_{m+1}}, ..., {qn}``; everyone crowding the first set
   is an equilibrium, so the price of anarchy is n/m for n < 2m and
   (2m-1)/m otherwise.
-* ``spoa-two-agent`` / ``spoa-family`` (parameter m) - sequential unit
-  games whose worst subgame-perfect outcome wastes the singleton nodes,
-  giving sequential price of anarchy (2m-1)/m.
+* ``spoa-family`` (parameter m >= 2; ``spoa-two-agent`` is m = 2) - the
+  sequential ``poa-lb(2m-1, m)``, whose worst subgame-perfect outcome wastes
+  the singleton nodes, giving sequential price of anarchy (2m-1)/m.
 * ``no-potential-counterexample`` - one unit node, weights (1, 2), each
   agent choosing between the node and staying out; two deviation paths sum
   to different utility changes, so no exact potential exists.  Note the
@@ -61,14 +61,6 @@ def _poa_lb(n: int, m: int) -> Instance:
     )
 
 
-def _spoa_two_agent() -> SequentialGame:
-    inst = Instance.build(
-        nodes=[("q1", 1), ("q2", 1), ("q3", 1)],
-        agents=[(f"a{i}", 1, [[0, 1], [2]]) for i in (1, 2)],
-    )
-    return SequentialGame.natural(inst)
-
-
 def _spoa_family(m: int) -> SequentialGame:
     if m < 2:
         raise ValueError("spoa-family requires m >= 2")
@@ -88,7 +80,7 @@ _TABLE = {
     "example1-minus-dummy": (_example1_minus_dummy, ()),
     "no-potential-counterexample": (_no_potential_counterexample, ()),
     "poa-lb": (_poa_lb, ("n", "m")),
-    "spoa-two-agent": (_spoa_two_agent, ()),
+    "spoa-two-agent": (lambda: _spoa_family(2), ()),
     "spoa-family": (_spoa_family, ("m",)),
 }
 

@@ -3,9 +3,10 @@ reports.
 
 Rationals always serialize as ``"p/q"`` strings, never floats, so
 downstream diffs are exact.  Loaders read parsed JSON only through `_field`,
-`_list` and `_int`, so a malformed file raises one ValueError naming the
-entry and the field; a duplicate id also names its line (best effort on
-pretty-printed files).  Any other exception from a loader is a bug.
+`_id`, `_list`, `_int` and `parse_rational`, none of which coerces a value,
+so a malformed file raises one ValueError naming the entry and the field; a
+duplicate id also names its line (best effort on pretty-printed files).  Any
+other exception from a loader is a bug.
 """
 
 from __future__ import annotations
@@ -49,16 +50,17 @@ def rational_str(value: Fraction | int) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+# number text: ASCII digits, an optional leading "-" and an optional "/digits"
+_NUMBER = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_rational(text: str) -> Fraction:
-    parts = str(text).split("/")
-    if len(parts) == 1:
-        return Fraction(int(parts[0]))
-    if len(parts) == 2:
-        den = int(parts[1])
-        if den == 0:
-            raise ValueError(f"malformed rational {text!r}: zero denominator")
-        return Fraction(int(parts[0]), den)
-    raise ValueError(f"malformed rational {text!r}")
+    match = _NUMBER.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise ValueError(f"malformed rational {text!r}")
+    if match[2] is not None and int(match[2]) == 0:
+        raise ValueError(f"malformed rational {text!r}: zero denominator")
+    return Fraction(int(match[1]), int(match[2] or 1))
 
 
 def _definition_line(text: str, id_value: str) -> int:
@@ -128,6 +130,14 @@ def _field(obj, key: str, where: str):
     return obj[key]
 
 
+def _id(entry, where: str) -> str:
+    """`entry["id"]`, which must be a string: ids are matched as text."""
+    value = _field(entry, "id", where)
+    if not isinstance(value, str):
+        raise ValueError(f"{where}: id must be a string, got {value!r}")
+    return value
+
+
 def _list(value, what: str, size: int | None = None) -> list:
     """`value` itself if it is a JSON list, of `size` items if given."""
     if not isinstance(value, list) or size is not None and len(value) != size:
@@ -145,7 +155,7 @@ def _instance_from_dict(data: dict, text: str) -> Instance:
     nodes = []
     index: dict[str, int] = {}
     for k, entry in enumerate(_list(data.get("nodes", []), "nodes")):
-        node_id = str(_field(entry, "id", f"nodes[{k}]"))
+        node_id = _id(entry, f"nodes[{k}]")
         value = _field(entry, "value", f"node {node_id!r}")
         if node_id in index:
             raise ValueError(
@@ -159,7 +169,7 @@ def _instance_from_dict(data: dict, text: str) -> Instance:
     agents = []
     seen: set[str] = set()
     for k, entry in enumerate(_list(data.get("agents", []), "agents")):
-        agent_id = str(_field(entry, "id", f"agents[{k}]"))
+        agent_id = _id(entry, f"agents[{k}]")
         where = f"agent {agent_id!r}"
         space = _list(_field(entry, "strategies", where), f"{where}: strategies")
         weight = _field(entry, "weight", where)

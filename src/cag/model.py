@@ -45,6 +45,17 @@ class BudgetError(RuntimeError):
     ("search-space-too-large")."""
 
 
+def check_budget(inst: Instance, budget: int) -> int:
+    """Return the number of profiles of `inst`; raise BudgetError if it
+    exceeds `budget`.  Every exhaustive search calls this before it starts."""
+    size = inst.profile_space_size()
+    if size > budget:
+        raise BudgetError(
+            f"search-space-too-large: {size} profiles exceed budget {budget}"
+        )
+    return size
+
+
 def check_build_size(size: int, what: str) -> None:
     """Raise BudgetError if `size`, an upper bound on the nodes plus strategy
     entries that `what` would build, exceeds DEFAULT_BUDGET.  Builders that

@@ -25,9 +25,11 @@ each id from the final loads, and deduplication hashes small ints.  For
 which every profile reaches through some state, so the optimum comes from
 the same walk.  `spe_solve` runs the one plain walk, `_solve`, in either
 mode; the modes differ only in how a mover merges its children.  It
-reports profiles, and it is the reference the memoized walk is tested
-against.  Both walks place single-strategy movers once, before they start,
-since those movers make no decision.
+reports the root's outcomes as profiles, and it is the reference the
+memoized walk is tested against.  Both walks place single-strategy movers
+once, before they start, since those movers make no decision.  Every entry
+point first refuses, with `model.check_budget`, a game whose profiles
+outnumber the budget.
 
 Strategy lists themselves are exponentially large and never materialized;
 outcomes are certified through achievable continuation values instead.
@@ -39,8 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import Evaluator
-from .equilibria import DEFAULT_BUDGET, _check_budget
-from .model import BudgetError, Instance, StrategyProfile
+from .model import DEFAULT_BUDGET, Instance, StrategyProfile, check_budget
 
 __all__ = [
     "SequentialGame",
@@ -78,7 +79,6 @@ class SpeOutcome:
 class SpeResult:
     outcomes: tuple[SpeOutcome, ...]
     mode: str  # "deterministic" | "exhaustive"
-    subgame_values: dict | None = None
 
 
 def outcome_welfare(outcome: SpeOutcome) -> int:
@@ -87,20 +87,17 @@ def outcome_welfare(outcome: SpeOutcome) -> int:
     return int(total)
 
 
-def _solve(ev: Evaluator, order, exhaustive: bool, collect=None):
+def _solve(ev: Evaluator, order, exhaustive: bool):
     """Plain backward induction over every profile, as (choices, scaled
     utilities) outcomes.
 
     Exhaustive mode keeps every outcome achievable under some tie-breaking;
     deterministic mode keeps the first child best for the mover, which is
-    lexicographic tie-breaking.  With `collect`, each subgame's outcomes are
-    stored under its prefix: the choices of every mover before the real
-    decision that starts it (singletons choose 0).
+    lexicographic tie-breaking.
     """
     loads, choices, active = ev.preplace(order)
     spaces, weights = ev.spaces, ev.weights
     depth = len(active)
-    cut = [order.index(mover) for mover in active]
 
     def walk(t: int):
         if t == depth:
@@ -119,12 +116,8 @@ def _solve(ev: Evaluator, order, exhaustive: bool, collect=None):
             # The mover can force at least the best adversarial continuation
             # value, so only outcomes meeting that threshold are achievable.
             threshold = max(min(u[mover] for _, u in sub) for sub in children)
-            merged = [o for sub in children for o in sub if o[1][mover] >= threshold]
-        else:
-            merged = max(children, key=lambda sub: sub[0][1][mover])
-        if collect is not None:
-            collect[tuple(choices[m] for m in order[:cut[t]])] = merged
-        return merged
+            return [o for sub in children for o in sub if o[1][mover] >= threshold]
+        return max(children, key=lambda sub: sub[0][1][mover])
 
     try:
         return walk(0)
@@ -228,55 +221,23 @@ def _achievable(ev: Evaluator, order, agent: int | None = None):
 
 
 def spe_solve(
-    game: SequentialGame,
-    mode: str = "deterministic",
-    budget: int = DEFAULT_BUDGET,
-    subgame_values: bool = False,
+    game: SequentialGame, mode: str = "deterministic", budget: int = DEFAULT_BUDGET
 ) -> SpeResult:
     """Solve the sequential game by backward induction.
 
     Deterministic mode returns exactly one outcome.  Exhaustive mode returns
     every outcome achievable under some tie-breaking, sorted by profile.
-    Raises BudgetError when the profiles, or with `subgame_values` the
-    game-tree prefixes, outnumber `budget`.
+    Raises BudgetError when the profiles outnumber `budget`.
     """
     if mode not in ("deterministic", "exhaustive"):
         raise ValueError(f"invalid mode {mode!r}")
-    _check_budget(game.instance, budget)
-    collect: dict | None = None
-    if subgame_values:
-        prefixes = _prefix_count(game)
-        if prefixes > budget:
-            raise BudgetError(
-                f"search-space-too-large: {prefixes} game-tree prefixes exceed "
-                f"budget {budget}"
-            )
-        collect = {}
+    check_budget(game.instance, budget)
     ev = Evaluator(game.instance)
-    raw = sorted(_solve(ev, game.order, mode == "exhaustive", collect))
-    outcomes = tuple(_to_outcome(ev, c, u) for c, u in raw)
-    values = None
-    if collect is not None:
-        values = {
-            prefix: tuple(_to_outcome(ev, c, u) for c, u in sorted(subs))
-            for prefix, subs in collect.items()
-        }
-    return SpeResult(outcomes=outcomes, mode=mode, subgame_values=values)
-
-
-def _to_outcome(ev: Evaluator, choices, utils_scaled) -> SpeOutcome:
-    return SpeOutcome(
-        profile=StrategyProfile(choices),
-        utilities=tuple(ev.frac(u) for u in utils_scaled),
+    outcomes = tuple(
+        SpeOutcome(StrategyProfile(c), tuple(ev.frac(u) for u in utils))
+        for c, utils in sorted(_solve(ev, game.order, mode == "exhaustive"))
     )
-
-
-def _prefix_count(game: SequentialGame) -> int:
-    count, layer = 1, 1
-    for i in game.order:
-        layer *= len(game.instance.agents[i].strategies)
-        count += layer
-    return count
+    return SpeResult(outcomes=outcomes, mode=mode)
 
 
 def spe_decision(
@@ -290,7 +251,7 @@ def spe_decision(
     if not 0 <= agent < game.instance.num_agents:
         raise IndexError(f"agent index {agent} out of range")
     threshold = Fraction(threshold)
-    _check_budget(game.instance, budget)
+    check_budget(game.instance, budget)
     ev = Evaluator(game.instance)
     roots, finals, _ = _achievable(ev, game.order, agent)
     terms, share = ev.terms[agent], ev.share
@@ -304,7 +265,7 @@ def spe_decision(
 def spoa(game: SequentialGame, budget: int = DEFAULT_BUDGET) -> Fraction:
     """Optimal welfare divided by the welfare of the worst subgame-perfect
     outcome under any tie-breaking."""
-    _check_budget(game.instance, budget)
+    check_budget(game.instance, budget)
     ev = Evaluator(game.instance)
     roots, finals, opt = _achievable(ev, game.order)
     worst = min(ev.welfare(finals[o][0]) for o in roots)

@@ -36,10 +36,52 @@ def test_rational_strings():
     assert io.rational_str(5) == "5/1"
     assert io.parse_rational("7/3") == Fraction(7, 3)
     assert io.parse_rational("4") == 4
-    with pytest.raises(ValueError):
-        io.parse_rational("1/2/3")
-    with pytest.raises(ValueError, match="zero denominator"):
-        io.parse_rational("1/0")
+    assert io.parse_rational("-1/2") == Fraction(-1, 2)
+    assert io.parse_rational("06/4") == Fraction(3, 2)
+
+
+@given(st.fractions())
+def test_rational_str_parses_back(value):
+    assert io.parse_rational(io.rational_str(value)) == value
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1/2/3", "malformed rational '1/2/3'"),
+        ("1/0", "malformed rational '1/0': zero denominator"),
+        (5, "malformed rational 5"),
+        (None, "malformed rational None"),
+        (" 1/2", "malformed rational ' 1/2'"),
+        ("1_0/3", "malformed rational '1_0/3'"),
+        ("\u0663/4", "malformed rational '\u0663/4'"),
+        ("", "malformed rational ''"),
+        ("1/", "malformed rational '1/'"),
+        ("0.5", "malformed rational '0.5'"),
+    ],
+    ids=repr,
+)
+def test_parse_rational_takes_only_ascii_number_text(text, message):
+    with pytest.raises(ValueError) as refusal:
+        io.parse_rational(text)
+    assert str(refusal.value) == message
+
+
+@pytest.mark.parametrize(
+    "loads, text",
+    [
+        (io.loads_report, '{"pne": [], "opt-welfare": 1, "opt-profile": [0], '
+         '"poa": 1, "profile-count-scanned": 1}'),
+        (io.loads_spe_result, '{"mode": "exhaustive", '
+         '"outcomes": [{"profile": [0], "utilities": [1]}]}'),
+        (io.loads_trace, '{"agent": 0, "from": 0, "to": 1, "gain": 1}\n'
+         '{"start": [0], "final": [1], "termination": "converged"}\n'),
+    ],
+    ids=["report", "spe-result", "trace"],
+)
+def test_loaders_refuse_numbers_for_rationals(loads, text):
+    with pytest.raises(ValueError, match="^malformed rational 1$"):
+        loads(text)
 
 
 @given(instances())
@@ -398,6 +440,9 @@ def test_cli_rejects_empty_strategy_space(tmp_path, capsys, command):
     "flags, message",
     [
         (["--eps", "1/0"], "zero denominator"),
+        (["--eps", " 1/2"], "malformed rational ' 1/2'"),
+        (["--eps", "1_0/3"], "malformed rational '1_0/3'"),
+        (["--eps", "\u0663/4"], "malformed rational '\u0663/4'"),
         (["--mode", "alpha", "--alpha", "inf"], "alpha must be finite"),
         (["--mode", "alpha", "--alpha", "nan"], "alpha must be finite"),
         (
@@ -413,7 +458,7 @@ def test_cli_rejects_empty_strategy_space(tmp_path, capsys, command):
         ),
     ],
     ids=[
-        "eps-1/0", "alpha-inf", "alpha-nan", "alpha-nan-allow-any",
+        "eps-1/0", "eps-space", "eps-underscore", "eps-arabic-digit", "alpha-inf", "alpha-nan", "alpha-nan-allow-any",
         "alpha-with-eps", "alpha-with-eps-0", "epsilon-with-alpha",
         "epsilon-with-alpha-and-allow-any",
     ],
@@ -421,6 +466,18 @@ def test_cli_rejects_empty_strategy_space(tmp_path, capsys, command):
 def test_cli_dynamics_rejects_bad_eps_and_alpha(example1_file, capsys, flags, message):
     assert run_cli(["dynamics", str(example1_file), *flags]) == 2
     assert message in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize("text", ["0,1_0,0", " 0,1,0", "\u0660,1,0", "0,,1", "0,1/1,0", "0;1;0"])
+@pytest.mark.parametrize(
+    "flag", [["eval", "--profile"], ["potential", "--profile"], ["dynamics", "--start"]],
+    ids=lambda flag: flag[0],
+)
+def test_cli_refuses_malformed_profile_text(example1_file, capsys, flag, text):
+    assert run_cli([flag[0], str(example1_file), flag[1], text]) == 2
+    assert _single_error_line(capsys) == (
+        f"cag: malformed profile {text!r}: expected integers like 0,1,0"
+    )
 
 
 @pytest.mark.parametrize("flag", ["--max-strategy-size", "--max-weight", "--max-value"])
@@ -590,6 +647,25 @@ _MALFORMED = [
     ("spe", _with("order", 3), "order must be a list, got 3"),
     ("spe", _with("order", [["a1"], "a2"]), "order references unknown agent id ['a1']"),
     ("analyze", "[" * 100_000 + "]" * 100_000, "JSON nested too deeply"),
+] + [
+    (command, data, message)
+    for command in ("analyze", "validate")
+    for data, message in [
+        (
+            _with("nodes", [{"id": 5, "value": 1}]),
+            "nodes[0]: id must be a string, got 5",
+        ),
+        (
+            {**_with("nodes", [{"id": None, "value": 1}]),
+             "agents": [{"id": "a1", "weight": 1, "strategies": [["None"]]}]},
+            "nodes[0]: id must be a string, got None",
+        ),
+        (
+            {**_UNIT_INSTANCE,
+             "agents": [{"id": True, "weight": 1, "strategies": [["q"]]}]},
+            "agents[0]: id must be a string, got True",
+        ),
+    ]
 ]
 
 

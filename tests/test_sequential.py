@@ -279,16 +279,15 @@ def test_memoized_walk_matches_exhaustive_reference(game):
         assert not spe_decision(game, agent, best + Fraction(1, 10**6)), agent
 
 
-def fraction_backward_induction(game: SequentialGame) -> dict:
+def fraction_backward_induction(game: SequentialGame):
     """Independent oracle: backward induction in `Fraction`s over every
     mover in order, single-strategy movers included.
 
-    Maps each prefix of choices, in move order, to the outcomes achievable
-    under some tie-breaking, sorted, and the outcome under lexicographic
-    tie-breaking; an outcome is (choices, utilities)."""
+    Returns the outcomes achievable under some tie-breaking, sorted, and the
+    outcome under lexicographic tie-breaking; an outcome is (choices,
+    utilities)."""
     inst, order = game.instance, game.order
     m = inst.num_agents
-    table = {}
 
     def solve(prefix):
         if len(prefix) == m:
@@ -310,11 +309,9 @@ def fraction_backward_induction(game: SequentialGame) -> dict:
         for _, best in kids[1:]:
             if best[1][mover] > first[1][mover]:
                 first = best
-        table[prefix] = (achievable, first)
         return achievable, first
 
-    solve(())
-    return table
+    return solve(())
 
 
 def _pairs(outcomes):
@@ -325,22 +322,12 @@ def _pairs(outcomes):
 @given(colliding_games())
 @example(SWAPPED_CHOICES)
 def test_plain_walk_matches_fraction_backward_induction(game):
-    """spe_solve in both modes, outcomes and subgame values, against the
-    oracle.  Subgame values are keyed by the prefix before each real
-    decision, i.e. each mover with at least two strategies."""
-    table = fraction_backward_induction(game)
-    spaces = game.instance.agents
-    real = {p for p in table if len(spaces[game.order[len(p)]].strategies) > 1}
-    exhaustive = spe_solve(game, mode="exhaustive", subgame_values=True)
-    assert _pairs(exhaustive.outcomes) == table[()][0]
-    assert set(exhaustive.subgame_values) == real
-    for prefix, outcomes in exhaustive.subgame_values.items():
-        assert _pairs(outcomes) == table[prefix][0], prefix
-    deterministic = spe_solve(game, mode="deterministic", subgame_values=True)
-    assert _pairs(deterministic.outcomes) == [table[()][1]]
-    assert set(deterministic.subgame_values) == real
-    for prefix, outcomes in deterministic.subgame_values.items():
-        assert _pairs(outcomes) == [table[prefix][1]], prefix
+    """spe_solve's root outcomes in both modes against the oracle."""
+    achievable, first = fraction_backward_induction(game)
+    exhaustive = spe_solve(game, mode="exhaustive")
+    assert _pairs(exhaustive.outcomes) == achievable
+    deterministic = spe_solve(game, mode="deterministic")
+    assert _pairs(deterministic.outcomes) == [first]
 
 
 def test_calls_leave_no_cyclic_garbage():
@@ -354,10 +341,7 @@ def test_calls_leave_no_cyclic_garbage():
         "spe_decision": lambda: spe_decision(game, 0, 1),
     }
     for mode in ("deterministic", "exhaustive"):
-        for values in (False, True):
-            calls[f"spe_solve {mode} subgame_values={values}"] = partial(
-                spe_solve, game, mode=mode, subgame_values=values
-            )
+        calls[f"spe_solve {mode}"] = partial(spe_solve, game, mode=mode)
     gc.collect()
     gc.disable()
     try:
@@ -366,32 +350,6 @@ def test_calls_leave_no_cyclic_garbage():
             assert gc.collect() == 0, name
     finally:
         gc.enable()
-
-
-def test_subgame_values_collected():
-    game = build_named_instance("spoa-two-agent")
-    result = spe_solve(game, mode="exhaustive", subgame_values=True)
-    assert result.subgame_values is not None
-    assert () in result.subgame_values
-    assert (0,) in result.subgame_values and (1,) in result.subgame_values
-    # after the first mover grabs the pair, the follower is indifferent
-    follower = {o.profile.choices for o in result.subgame_values[(0,)]}
-    assert follower == {(0, 0), (0, 1)}
-
-
-def test_subgame_values_over_budget_refused():
-    """Seven game-tree prefixes but four profiles: the prefixes are what the
-    subgame table stores, so they are what the budget must cover."""
-    game = build_named_instance("spoa-two-agent")
-    with pytest.raises(BudgetError, match="^search-space-too-large: "):
-        spe_solve(game, mode="exhaustive", budget=4, subgame_values=True)
-
-
-def test_subgame_values_within_budget_returned():
-    game = build_named_instance("spoa-two-agent")
-    result = spe_solve(game, mode="exhaustive", budget=7, subgame_values=True)
-    assert result.subgame_values is not None
-    assert () in result.subgame_values
 
 
 def test_budget_guard():
