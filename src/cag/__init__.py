@@ -20,11 +20,9 @@ from .engine import Evaluator
 from .equilibria import (
     EquilibriumReport,
     analyze,
-    enumerate_pne,
     is_approx_pne,
     optimal_social_welfare,
     pne_exists,
-    poa,
 )
 from .gadgets import (
     CutGraph,
@@ -58,7 +56,6 @@ from .model import (
     BudgetError,
     Instance,
     Node,
-    NoEquilibriumError,
     StrategyProfile,
     SymmetryClass,
     ValidationReport,
@@ -79,7 +76,6 @@ from .sequential import (
     SequentialGame,
     SpeOutcome,
     SpeResult,
-    outcome_welfare,
     spe_decision,
     spe_solve,
     spoa,

@@ -23,7 +23,6 @@ from .dynamics import DynamicsConfig, epsilon_step_bound, run_dynamics
 from .engine import Evaluator
 from .equilibria import (
     analyze,
-    enumerate_pne,
     is_approx_pne,
     optimal_social_welfare,
     pne_exists,
@@ -58,44 +57,40 @@ class Criterion:
     run: Callable[[], str]
 
 
-def _active_cells(inst: Instance, dummy: bool):
-    for a in (0, 1):
-        for b in (0, 1):
-            choices = (a, b, 0) if dummy else (a, b)
-            p = StrategyProfile(choices)
-            yield (a, b), (utility(inst, p, 0), utility(inst, p, 1))
+def _check_payoffs(name: str, expected) -> str:
+    """Agents 0 and 1 of the named instance get exactly `expected[(a, b)]`
+    when they pick a and b and every other agent picks 0."""
+    inst = build_named_instance(name)
+    rest = (0,) * (inst.num_agents - 2)
+    for cell, utils in expected.items():
+        p = StrategyProfile(cell + rest)
+        got = (utility(inst, p, 0), utility(inst, p, 1))
+        assert got == utils, f"cell {cell}: {got}"
+    return f"{len(expected)} payoff cells exact"
 
 
 def check_payoffs_with_dummy() -> str:
-    inst = build_named_instance("example1")
-    expected = {
+    return _check_payoffs("example1", {
         (0, 0): (Fraction(7, 3), Fraction(4, 3)),
         (0, 1): (Fraction(12, 5), Fraction(6, 5)),
         (1, 0): (Fraction(12, 5), Fraction(6, 5)),
         (1, 1): (Fraction(7, 3), Fraction(4, 3)),
-    }
-    for cell, utils in _active_cells(inst, dummy=True):
-        assert utils == expected[cell], f"cell {cell}: {utils}"
-    return "4 payoff cells exact"
+    })
 
 
 def check_payoffs_without_dummy() -> str:
-    inst = build_named_instance("example1-minus-dummy")
-    expected = {
+    return _check_payoffs("example1-minus-dummy", {
         (0, 0): (Fraction(13, 5), Fraction(7, 5)),
         (0, 1): (Fraction(14, 5), Fraction(11, 5)),
         (1, 0): (Fraction(14, 5), Fraction(11, 5)),
         (1, 1): (Fraction(13, 5), Fraction(7, 5)),
-    }
-    for cell, utils in _active_cells(inst, dummy=False):
-        assert utils == expected[cell], f"cell {cell}: {utils}"
-    return "4 payoff cells exact"
+    })
 
 
 def check_equilibrium_sets() -> str:
-    full = enumerate_pne(build_named_instance("example1"))
-    assert full == [], f"expected no equilibria, got {full}"
-    reduced = enumerate_pne(build_named_instance("example1-minus-dummy"))
+    full = analyze(build_named_instance("example1")).pne
+    assert full == (), f"expected no equilibria, got {full}"
+    reduced = analyze(build_named_instance("example1-minus-dummy")).pne
     got = [p.choices for p in reduced]
     assert got == [(0, 1), (1, 0)], got
     return "no equilibria with dummy; exactly the two anti-diagonal cells without"
@@ -364,7 +359,7 @@ def check_maxcut_reduction() -> str:
                 phi = rosenthal_potential(inst, p)
                 assert phi == lam * cutweight(graph, x) + rho_sum, (graph, bits)
                 identities += 1
-            cuts = {cut_from_profile(red, p) for p in enumerate_pne(inst)}
+            cuts = {cut_from_profile(red, p) for p in analyze(inst).pne}
             local_maxima = {
                 x
                 for x in itertools.product((1, -1), repeat=k)

@@ -3,9 +3,10 @@
 One binary exposes every operation with stable file formats: instances,
 profiles, and games are JSON documents; reports serialize rationals as
 "p/q" strings so outputs are byte-identical across runs.  Exit codes:
-0 success, 1 domain errors (no equilibrium, budget exceeded, failed
+0 success, 1 domain errors (budget exceeded, a dynamics step limit, failed
 verification), 2 input errors (one line naming the bad flag, file or
-field).  Any other exception is a bug and surfaces as a traceback.
+field).  A game without a pure equilibrium is not an error: `analyze`
+reports it.  Any other exception is a bug and surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .instances import NAMED_INSTANCES, build_named_instance
 from .model import (
     DEFAULT_BUDGET,
     BudgetError,
-    NoEquilibriumError,
     StrategyProfile,
     _all_loads,
     check_profile,
@@ -104,23 +104,14 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _profile_arg(value: str) -> StrategyProfile:
+def _profile_arg(value: str, flag: str) -> StrategyProfile:
     if os.path.exists(value):
         return io.loads_profile(_read(value))
     fields = [io._NUMBER.fullmatch(c) for c in value.split(",")]
     if not all(m and m[2] is None for m in fields):
         raise ValueError(f"malformed profile {value!r}: expected integers like 0,1,0")
-    return StrategyProfile(tuple(int(m[1]) for m in fields))
-
-
-def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return io.rational_str(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+    choices = tuple(io._to_int(m[1], f"{flag} choice") for m in fields)
+    return StrategyProfile(choices)
 
 
 def _dump_built(built) -> str:
@@ -156,7 +147,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_eval(args) -> int:
     inst = _load_instance(args.instance)
-    profile = _profile_arg(args.profile)
+    profile = _profile_arg(args.profile, "--profile")
     check_profile(inst, profile)
     flags = classify_symmetry(inst)
     data = {
@@ -178,7 +169,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_potential(args) -> int:
     inst = _load_instance(args.instance)
-    profile = _profile_arg(args.profile)
+    profile = _profile_arg(args.profile, "--profile")
     if args.kind == "rosenthal":
         value = io.rational_str(rosenthal_potential(inst, profile))
     elif args.kind == "two-agent":
@@ -195,16 +186,20 @@ def _cmd_dynamics(args) -> int:
     _reject_stray(args, f"dynamics --mode {args.mode}", ("--eps",) + alpha_flags, takes)
     inst = _load_instance(args.instance)
     start = (
-        _profile_arg(args.start)
+        _profile_arg(args.start, "--start")
         if args.start
         else StrategyProfile((0,) * inst.num_agents)
     )
     alpha = args.alpha if args.alpha is not None else (
         min_alpha(inst) if args.mode == "alpha" else 1.0
     )
+    try:
+        epsilon = io.parse_rational("0" if args.eps is None else args.eps)
+    except ValueError as exc:
+        raise ValueError(f"--eps: {exc}") from None
     cfg = DynamicsConfig(
         mode=args.mode,
-        epsilon=io.parse_rational("0" if args.eps is None else args.eps),
+        epsilon=epsilon,
         alpha=alpha,
         max_steps=args.max_steps,
         allow_any_alpha=args.allow_any_alpha,
@@ -273,12 +268,8 @@ def _cmd_gadget(args) -> int:
     red = build(reader(_read(args.input)), args)
     if args.instance_only:
         _emit(args, _dump_built(red.instance))
-        return 0
-    payload = {
-        "instance": json.loads(_dump_built(red.instance)),
-        "mapping": _jsonable(red.mapping),
-    }
-    _emit(args, json.dumps(payload, indent=2) + "\n")
+    else:
+        _emit(args, io.dumps_reduction(red))
     return 0
 
 
@@ -408,7 +399,7 @@ def run_cli(argv=None) -> int:
         if hasattr(args, "budget"):
             args.budget = _budget(args.budget)
         return args.func(args)
-    except (BudgetError, NoEquilibriumError) as exc:
+    except BudgetError as exc:
         print(f"cag: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

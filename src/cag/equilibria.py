@@ -34,7 +34,6 @@ from .engine import Evaluator
 from .model import (
     DEFAULT_BUDGET,
     Instance,
-    NoEquilibriumError,
     StrategyProfile,
     check_budget,
     check_profile,
@@ -43,11 +42,9 @@ from .model import (
 __all__ = [
     "EquilibriumReport",
     "analyze",
-    "enumerate_pne",
     "is_approx_pne",
     "optimal_social_welfare",
     "pne_exists",
-    "poa",
 ]
 
 
@@ -253,15 +250,6 @@ def analyze(
     )
 
 
-def enumerate_pne(
-    inst: Instance, budget: int = DEFAULT_BUDGET
-) -> list[StrategyProfile]:
-    """Exactly the set of pure Nash equilibria, in lexicographic order."""
-    check_budget(inst, budget)
-    reps, _, _ = _walk(Evaluator(inst))
-    return [StrategyProfile(c) for c in _expand(inst, reps)]
-
-
 def pne_exists(inst: Instance, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff the instance has at least one pure Nash equilibrium."""
     check_budget(inst, budget)
@@ -277,10 +265,3 @@ def optimal_social_welfare(
     _, best_welfare, best_profile = _walk(Evaluator(inst), test_pne=False)
     return best_welfare, StrategyProfile(best_profile)
 
-
-def poa(inst: Instance, budget: int = DEFAULT_BUDGET) -> Fraction:
-    """Optimal welfare divided by the welfare of the worst equilibrium."""
-    report = analyze(inst, budget)
-    if report.poa is None:
-        raise NoEquilibriumError("no-pne: the instance has no pure Nash equilibrium")
-    return report.poa

@@ -3,21 +3,22 @@ reports.
 
 Rationals always serialize as ``"p/q"`` strings, never floats, so
 downstream diffs are exact.  Loaders read parsed JSON only through `_field`,
-`_id`, `_list`, `_int` and `parse_rational`, none of which coerces a value,
-so a malformed file raises one ValueError naming the entry and the field; a
-duplicate id also names its line (best effort on pretty-printed files).  Any
-other exception from a loader is a bug.
+`_id`, `_list`, `_int`, `_one_of` and `parse_rational`, none of which
+coerces a value, so a malformed file raises one ValueError naming the entry
+and the field; a duplicate id also names its line (best effort on
+pretty-printed files).  Any other exception from a loader is a bug.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .dynamics import DynamicsStep, DynamicsTrace
 from .equilibria import EquilibriumReport
-from .gadgets import CutGraph, ThreeDMInstance, TqbfFormula
+from .gadgets import CutGraph, ReductionOutput, ThreeDMInstance, TqbfFormula
 from .model import Agent, Instance, Node, StrategyProfile
 from .sequential import SequentialGame, SpeOutcome, SpeResult
 
@@ -26,6 +27,7 @@ __all__ = [
     "dumps_graph",
     "dumps_instance",
     "dumps_profile",
+    "dumps_reduction",
     "dumps_report",
     "dumps_spe_result",
     "dumps_tdm",
@@ -58,9 +60,21 @@ def parse_rational(text: str) -> Fraction:
     match = _NUMBER.fullmatch(text) if isinstance(text, str) else None
     if match is None:
         raise ValueError(f"malformed rational {text!r}")
-    if match[2] is not None and int(match[2]) == 0:
+    den = _to_int(match[2] or "1", "denominator")
+    if den == 0:
         raise ValueError(f"malformed rational {text!r}: zero denominator")
-    return Fraction(int(match[1]), int(match[2] or 1))
+    return Fraction(_to_int(match[1], "numerator"), den)
+
+
+def _to_int(token: str, what: str) -> int:
+    """`int(token)` for integer text; refused, naming `what`, when it has
+    more digits than `int()` converts (`sys.get_int_max_str_digits()`)."""
+    digits, limit = len(token.lstrip("-")), sys.get_int_max_str_digits()
+    if 0 < limit < digits:
+        raise ValueError(
+            f"{what} {token[:12]}... has {digits} digits, over the limit of {limit}"
+        )
+    return int(token)
 
 
 def _definition_line(text: str, id_value: str) -> int:
@@ -78,6 +92,11 @@ def _json(text: str) -> dict:
         data = json.loads(text)
     except RecursionError:
         raise ValueError("JSON nested too deeply") from None
+    except ValueError as exc:
+        # not a syntax error: an integer past int()'s digit limit; name it
+        if not isinstance(exc, json.JSONDecodeError):
+            json.loads(text, parse_int=lambda token: _to_int(token, "JSON number"))
+        raise
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
     return data
@@ -91,8 +110,11 @@ def dumps_instance(inst: Instance) -> str:
     return json.dumps(_instance_dict(inst), indent=2) + "\n"
 
 
-def _instance_dict(inst: Instance) -> dict:
-    return {
+def _instance_dict(built: Instance | SequentialGame) -> dict:
+    """An instance's JSON object, or a game's: its instance's plus the move
+    order as agent ids."""
+    inst = built.instance if isinstance(built, SequentialGame) else built
+    data = {
         "nodes": [{"id": n.id, "value": n.value} for n in inst.nodes],
         "agents": [
             {
@@ -105,6 +127,9 @@ def _instance_dict(inst: Instance) -> dict:
             for a in inst.agents
         ],
     }
+    if built is not inst:
+        data["order"] = [inst.agents[i].id for i in built.order]
+    return data
 
 
 def loads_instance(text: str) -> Instance:
@@ -143,6 +168,14 @@ def _list(value, what: str, size: int | None = None) -> list:
     if not isinstance(value, list) or size is not None and len(value) != size:
         kind = "a list" if size is None else f"a list of {size} items"
         raise ValueError(f"{what} must be {kind}, got {value!r}")
+    return value
+
+
+def _one_of(value, what: str, allowed: tuple[str, ...]) -> str:
+    """`value` itself if it is one of the strings `allowed`."""
+    if value not in allowed:
+        kinds = " or ".join(map(repr, allowed))
+        raise ValueError(f"{what} must be {kinds}, got {value!r}")
     return value
 
 
@@ -204,9 +237,7 @@ def loads_profile(text: str) -> StrategyProfile:
 
 
 def dumps_game(game: SequentialGame) -> str:
-    data = _instance_dict(game.instance)
-    data["order"] = [game.instance.agents[i].id for i in game.order]
-    return json.dumps(data, indent=2) + "\n"
+    return json.dumps(_instance_dict(game), indent=2) + "\n"
 
 
 def loads_game(text: str) -> SequentialGame:
@@ -224,7 +255,14 @@ def loads_game(text: str) -> SequentialGame:
 
 
 # ---------------------------------------------------------------------------
-# reduction inputs
+# reductions and their inputs
+
+
+def dumps_reduction(red: ReductionOutput) -> str:
+    """The built instance or game and the back-mapping, with every rational
+    of the mapping as a "p/q" string."""
+    data = {"instance": _instance_dict(red.instance), "mapping": red.mapping}
+    return json.dumps(data, indent=2, default=rational_str) + "\n"
 
 
 def dumps_graph(graph: CutGraph) -> str:
@@ -333,7 +371,8 @@ def loads_spe_result(text: str) -> SpeResult:
         )
         for k, o in enumerate(_list(_field(data, "outcomes", "result"), "outcomes"))
     )
-    return SpeResult(outcomes=outcomes, mode=_field(data, "mode", "result"))
+    mode = _field(data, "mode", "result")
+    return SpeResult(outcomes, _one_of(mode, "mode", ("deterministic", "exhaustive")))
 
 
 def dumps_trace(trace: DynamicsTrace) -> str:
@@ -368,6 +407,7 @@ def loads_trace(text: str) -> DynamicsTrace:
     if not lines or "termination" not in lines[-1]:
         raise ValueError("trace must end with a summary record")
     summary = lines[-1]
+    termination = _field(summary, "termination", "summary")
     steps = tuple(
         DynamicsStep(
             agent=_int(_field(rec, "agent", f"step {k}"), "agent"),
@@ -381,5 +421,5 @@ def loads_trace(text: str) -> DynamicsTrace:
         start=_profile(_field(summary, "start", "summary"), "start"),
         steps=steps,
         final=_profile(_field(summary, "final", "summary"), "final"),
-        termination=_field(summary, "termination", "summary"),
+        termination=_one_of(termination, "termination", ("converged", "step-limit")),
     )

@@ -23,7 +23,6 @@ __all__ = [
     "BudgetError",
     "Instance",
     "Node",
-    "NoEquilibriumError",
     "StrategyProfile",
     "SymmetryClass",
     "ValidationReport",
@@ -65,11 +64,6 @@ def check_build_size(size: int, what: str) -> None:
             f"search-space-too-large: {what} would build {size} nodes and "
             f"strategy entries, more than {DEFAULT_BUDGET}"
         )
-
-
-class NoEquilibriumError(RuntimeError):
-    """Raised when an operation needs a pure Nash equilibrium but the
-    instance has none ("no-pne")."""
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,6 @@ __all__ = [
     "SequentialGame",
     "SpeOutcome",
     "SpeResult",
-    "outcome_welfare",
     "spe_decision",
     "spe_solve",
     "spoa",
@@ -79,12 +78,6 @@ class SpeOutcome:
 class SpeResult:
     outcomes: tuple[SpeOutcome, ...]
     mode: str  # "deterministic" | "exhaustive"
-
-
-def outcome_welfare(outcome: SpeOutcome) -> int:
-    total = sum(outcome.utilities)
-    assert total.denominator == 1
-    return int(total)
 
 
 def _solve(ev: Evaluator, order, exhaustive: bool):

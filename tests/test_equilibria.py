@@ -11,16 +11,13 @@ from hypothesis import example, given, settings, strategies as st
 from cag import (
     BudgetError,
     Instance,
-    NoEquilibriumError,
     StrategyProfile,
     analyze,
     build_named_instance,
-    enumerate_pne,
     gen_random,
     is_approx_pne,
     optimal_social_welfare,
     pne_exists,
-    poa,
     rosenthal_potential,
     social_welfare,
     utility,
@@ -59,8 +56,8 @@ def test_is_approx_pne_rejects_alpha_below_one(example1):
 
 
 def test_enumerate_pne_examples(example1, example1_minus_dummy):
-    assert enumerate_pne(example1) == []
-    assert [p.choices for p in enumerate_pne(example1_minus_dummy)] == [
+    assert analyze(example1).pne == ()
+    assert [p.choices for p in analyze(example1_minus_dummy).pne] == [
         (0, 1),
         (1, 0),
     ]
@@ -70,7 +67,7 @@ def test_single_agent_pne_maximizes_value():
     inst = Instance.build(
         nodes=[("q1", 1), ("q2", 3)], agents=[("a1", 1, [[0], [1], [0, 1]])]
     )
-    assert [p.choices for p in enumerate_pne(inst)] == [(2,)]
+    assert [p.choices for p in analyze(inst).pne] == [(2,)]
 
 
 def test_optimal_social_welfare_examples():
@@ -86,18 +83,17 @@ def test_optimal_social_welfare_examples():
 
 
 def test_poa_examples():
-    assert poa(build_named_instance("poa-lb", n=3, m=2)) == Fraction(3, 2)
-    assert poa(build_named_instance("poa-lb", n=4, m=2)) == Fraction(3, 2)
+    assert analyze(build_named_instance("poa-lb", n=3, m=2)).poa == Fraction(3, 2)
+    assert analyze(build_named_instance("poa-lb", n=4, m=2)).poa == Fraction(3, 2)
     covered = Instance.build(
         nodes=[("q1", 1), ("q2", 1)],
         agents=[("a1", 1, [[0, 1]]), ("a2", 1, [[0, 1]])],
     )
-    assert poa(covered) == 1
+    assert analyze(covered).poa == 1
 
 
 def test_poa_requires_equilibrium(example1):
-    with pytest.raises(NoEquilibriumError, match="no-pne"):
-        poa(example1)
+    assert analyze(example1).poa is None
 
 
 def test_pne_exists_examples(example1):
@@ -114,7 +110,7 @@ def test_pne_exists_examples(example1):
 
 def test_budget_guard(example1):
     with pytest.raises(BudgetError, match="search-space-too-large"):
-        enumerate_pne(example1, budget=3)
+        analyze(example1, budget=3)
     with pytest.raises(BudgetError):
         optimal_social_welfare(example1, budget=3)
     with pytest.raises(BudgetError):
@@ -221,7 +217,6 @@ def brute_force_report(inst):
 def test_kernel_matches_brute_force(inst):
     expected = brute_force_report(inst)
     assert analyze(inst) == expected
-    assert enumerate_pne(inst) == list(expected.pne)
     assert pne_exists(inst) == bool(expected.pne)
     assert optimal_social_welfare(inst) == (expected.opt_welfare, expected.opt_profile)
 

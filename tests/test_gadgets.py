@@ -11,12 +11,12 @@ from cag import (
     StrategyProfile,
     ThreeDMInstance,
     TqbfFormula,
+    analyze,
     build_named_instance,
     cut_from_profile,
     cutweight,
     decompose_fraction,
     edge_gadget_terms,
-    enumerate_pne,
     gen_random,
     is_approx_pne,
     lift_profile,
@@ -135,7 +135,7 @@ def test_maxcut_triangle_identity_and_equilibria():
         assert rosenthal_potential(red.instance, profile) == lam * cutweight(
             graph, x
         ) + rho_sum
-    cuts = {cut_from_profile(red, p) for p in enumerate_pne(red.instance)}
+    cuts = {cut_from_profile(red, p) for p in analyze(red.instance).pne}
     expected = {
         x for x in itertools.product((1, -1), repeat=3) if oracle_local_maxcut(graph, x)
     }
@@ -145,7 +145,7 @@ def test_maxcut_triangle_identity_and_equilibria():
 def test_maxcut_single_edge_separates():
     graph = CutGraph(2, ((0, 1, 1),))
     red = maxcut_to_cag(graph)
-    for p in enumerate_pne(red.instance):
+    for p in analyze(red.instance).pne:
         x = cut_from_profile(red, p)
         assert x[0] != x[1]
 
@@ -153,7 +153,7 @@ def test_maxcut_single_edge_separates():
 def test_maxcut_weighted_path():
     graph = CutGraph(3, ((0, 1, 2), (1, 2, 3)))
     red = maxcut_to_cag(graph)
-    cuts = {cut_from_profile(red, p) for p in enumerate_pne(red.instance)}
+    cuts = {cut_from_profile(red, p) for p in analyze(red.instance).pne}
     expected = {
         x for x in itertools.product((1, -1), repeat=3) if oracle_local_maxcut(graph, x)
     }
@@ -383,9 +383,9 @@ def test_symmetrize_split_output_has_unit_values(example1):
 
 def test_symmetrize_round_trip(example1_minus_dummy):
     red = symmetrize_weighted(example1_minus_dummy)
-    for p in enumerate_pne(red.instance):
+    for p in analyze(red.instance).pne:
         assert is_approx_pne(example1_minus_dummy, pullback_profile(red, p), 1)
-    for p in enumerate_pne(example1_minus_dummy):
+    for p in analyze(example1_minus_dummy).pne:
         assert is_approx_pne(red.instance, lift_profile(red, p), 1)
 
 
@@ -412,7 +412,7 @@ def test_unionize_round_trip_and_perfect_matching():
                           num_strategies=2, max_strategy_size=2)
         red = unionize_strategies(inst)
         owner = red.mapping["owner"]
-        pnes = enumerate_pne(red.instance)
+        pnes = analyze(red.instance).pne
         assert pnes and pne_exists(inst)
         for p in pnes:
             roles = [owner[c][0] for c in p.choices]

@@ -2,9 +2,9 @@ import pytest
 
 from cag import (
     SequentialGame,
+    analyze,
     build_named_instance,
     classify_symmetry,
-    enumerate_pne,
     gen_random,
     validate_instance,
 )
@@ -78,7 +78,7 @@ def test_duplicate_strategies_are_kept():
     )
     assert validate_instance(inst).ok
     assert len(inst.agents[0].strategies) == 3
-    assert [p.choices for p in enumerate_pne(inst)] == [(0,), (1,), (2,)]
+    assert [p.choices for p in analyze(inst).pne] == [(0,), (1,), (2,)]
 
 
 def test_generator_kinds_have_advertised_symmetry():

@@ -18,8 +18,12 @@ from cag import (
     TqbfFormula,
     analyze,
     build_named_instance,
+    maxcut_to_cag,
     run_dynamics,
     spe_solve,
+    symmetrize_weighted,
+    tdm_to_cag,
+    tqbf_to_cag,
 )
 from cag import io
 from cag.cli import run_cli
@@ -68,20 +72,81 @@ def test_parse_rational_takes_only_ascii_number_text(text, message):
 
 
 @pytest.mark.parametrize(
-    "loads, text",
+    "loads, text, message",
     [
         (io.loads_report, '{"pne": [], "opt-welfare": 1, "opt-profile": [0], '
-         '"poa": 1, "profile-count-scanned": 1}'),
+         '"poa": 1, "profile-count-scanned": 1}', "malformed rational 1"),
         (io.loads_spe_result, '{"mode": "exhaustive", '
-         '"outcomes": [{"profile": [0], "utilities": [1]}]}'),
+         '"outcomes": [{"profile": [0], "utilities": [1]}]}', "malformed rational 1"),
         (io.loads_trace, '{"agent": 0, "from": 0, "to": 1, "gain": 1}\n'
-         '{"start": [0], "final": [1], "termination": "converged"}\n'),
+         '{"start": [0], "final": [1], "termination": "converged"}\n',
+         "malformed rational 1"),
+        # values of a known field that no dumper writes
+        (io.loads_spe_result, '{"mode": 5, "outcomes": []}',
+         "mode must be 'deterministic' or 'exhaustive', got 5"),
+        (io.loads_spe_result, '{"mode": "Exhaustive", "outcomes": []}',
+         "mode must be 'deterministic' or 'exhaustive', got 'Exhaustive'"),
+        (io.loads_trace, '{"start": [0], "final": [0], "termination": [1]}',
+         "termination must be 'converged' or 'step-limit', got [1]"),
+        (io.loads_trace, '{"start": [0], "final": [0], "termination": null}',
+         "termination must be 'converged' or 'step-limit', got None"),
     ],
-    ids=["report", "spe-result", "trace"],
+    ids=["report", "spe-result", "trace", "spe-mode-number", "spe-mode-case",
+         "trace-termination-list", "trace-termination-null"],
 )
-def test_loaders_refuse_numbers_for_rationals(loads, text):
-    with pytest.raises(ValueError, match="^malformed rational 1$"):
+def test_loaders_refuse_numbers_for_rationals(loads, text, message):
+    with pytest.raises(ValueError) as refusal:
         loads(text)
+    assert str(refusal.value) == message
+
+
+_LIMIT = sys.get_int_max_str_digits()
+_HUGE = "1" * (_LIMIT + 700)
+
+
+@pytest.mark.parametrize(
+    "text, part", [(_HUGE, "numerator"), ("-" + _HUGE, "numerator"),
+                   ("1/" + _HUGE, "denominator")]
+)
+def test_parse_rational_refuses_text_past_the_digit_limit(text, part):
+    with pytest.raises(ValueError) as refusal:
+        io.parse_rational(text)
+    assert str(refusal.value) == (
+        f"{part} {text.split('/')[-1][:12]}... has {_LIMIT + 700} digits, "
+        f"over the limit of {_LIMIT}"
+    )
+    # exactly the limit is still number text
+    assert io.parse_rational("-" + "1" * _LIMIT) == -int("1" * _LIMIT)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["dynamics", "INST", "--eps", _HUGE], "--eps: numerator"),
+        (["dynamics", "INST", "--eps", "1/" + _HUGE], "--eps: denominator"),
+        (["eval", "INST", "--profile", "0,0," + _HUGE], "--profile choice"),
+        (["potential", "INST", "--profile", _HUGE + ",0,0"], "--profile choice"),
+        (["dynamics", "INST", "--start", "0," + _HUGE + ",0"], "--start choice"),
+        (["analyze", "HUGE"], "JSON number"),
+        (["eval", "INST", "--profile", "HUGE"], "JSON number"),
+    ],
+    ids=["eps", "eps-denominator", "eval-profile", "potential-profile",
+         "dynamics-start", "instance-file", "profile-file"],
+)
+def test_cli_refuses_number_text_past_the_digit_limit(
+    example1_file, tmp_path, capsys, argv, named
+):
+    huge = tmp_path / "huge.json"
+    if "--profile" in argv:
+        huge.write_text('{"choices": [0, 0, %s]}' % _HUGE)
+    else:
+        huge.write_text('{"nodes": [{"id": "q", "value": %s}]}' % _HUGE)
+    paths = {"INST": str(example1_file), "HUGE": str(huge)}
+    assert run_cli([paths.get(a, a) for a in argv]) == 2
+    line = _single_error_line(capsys)
+    assert line.startswith(f"cag: {named} 111111111111... ")
+    assert line.endswith(f"has {_LIMIT + 700} digits, over the limit of {_LIMIT}")
+    assert len(line) < 200
 
 
 @given(instances())
@@ -488,6 +553,39 @@ def test_cli_gen_rejects_bounds_below_one(capsys, flag):
 
 def test_cli_missing_file_is_input_error(capsys):
     assert run_cli(["analyze", "/nonexistent/file.json"]) == 2
+
+
+def _reduction_via_round_trip(red) -> str:
+    """The reduction document built by re-parsing the dumped instance and
+    converting the mapping's rationals by hand: what `dumps_reduction`
+    writes in one pass."""
+    def plain(obj):
+        if isinstance(obj, Fraction):
+            return io.rational_str(obj)
+        if isinstance(obj, dict):
+            return {k: plain(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [plain(v) for v in obj]
+        return obj
+
+    dump = io.dumps_game if hasattr(red.instance, "order") else io.dumps_instance
+    data = {"instance": json.loads(dump(red.instance)), "mapping": plain(red.mapping)}
+    return json.dumps(data, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: maxcut_to_cag(CutGraph(3, ((0, 1, 2), (1, 2, 3)))),
+        lambda: tdm_to_cag(ThreeDMInstance(2, ((0, 1, 0), (1, 0, 1))), True),
+        lambda: tqbf_to_cag(TqbfFormula(3, ((1, -2, 3), (-1, 2, -3)))),
+        lambda: symmetrize_weighted(build_named_instance("example1"), True),
+    ],
+    ids=["maxcut", "3dm-symmetrized", "tqbf", "symmetrize-split"],
+)
+def test_dumps_reduction_matches_the_round_trip(build):
+    red = build()
+    assert io.dumps_reduction(red) == _reduction_via_round_trip(red)
 
 
 def test_cli_gadget_reduction_with_mapping(tmp_path, capsys):

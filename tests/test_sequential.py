@@ -16,7 +16,6 @@ from cag import (
     build_named_instance,
     gen_random,
     optimal_social_welfare,
-    outcome_welfare,
     spe_decision,
     spe_solve,
     spoa,
@@ -70,7 +69,7 @@ def brute_force_spe_outcomes(game: SequentialGame) -> set[tuple[int, ...]]:
 def test_two_agent_outcomes_and_welfare():
     game = build_named_instance("spoa-two-agent")
     result = spe_solve(game, mode="exhaustive")
-    got = {(o.profile.choices, outcome_welfare(o)) for o in result.outcomes}
+    got = {(o.profile.choices, sum(o.utilities)) for o in result.outcomes}
     assert ((0, 0), 2) in got
     assert ((0, 1), 3) in got
 
@@ -88,7 +87,7 @@ def test_single_agent_game_maximizes_own_value():
 def test_family_worst_outcome():
     game = build_named_instance("spoa-family", m=3)
     result = spe_solve(game, mode="exhaustive")
-    welfares = [outcome_welfare(o) for o in result.outcomes]
+    welfares = [sum(o.utilities) for o in result.outcomes]
     assert min(welfares) == 3
 
 
@@ -196,7 +195,7 @@ def test_spoa_agrees_with_full_outcome_enumeration():
         )
         game = SequentialGame.natural(inst)
         result = spe_solve(game, mode="exhaustive")
-        worst = min(outcome_welfare(o) for o in result.outcomes)
+        worst = min(sum(o.utilities) for o in result.outcomes)
         opt, _ = optimal_social_welfare(inst)
         assert spoa(game) == Fraction(opt, worst), seed
         best_first = max(o.utilities[0] for o in result.outcomes)
@@ -272,7 +271,7 @@ def test_memoized_walk_matches_exhaustive_reference(game):
     every agent queried: singleton-space agents and the last mover too."""
     outcomes = spe_solve(game, mode="exhaustive").outcomes
     opt, _ = optimal_social_welfare(game.instance)
-    assert spoa(game) == Fraction(opt, min(outcome_welfare(o) for o in outcomes))
+    assert spoa(game) == Fraction(opt, min(sum(o.utilities) for o in outcomes))
     for agent in range(game.instance.num_agents):
         best = max(o.utilities[agent] for o in outcomes)
         assert spe_decision(game, agent, best), agent
