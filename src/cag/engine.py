@@ -152,6 +152,23 @@ class Evaluator:
             for s in range(len(self.spaces[agent]))
         ]
 
+    def join_row(self, loads, agent: int) -> list[int]:
+        """Scaled utility of `agent` under each of its strategies when it
+        joins `loads`, which hold every other agent's load but not its own.
+
+        With the others placed, the entry at a strategy is the agent's exact
+        utility there, so its best responses are the entries equal to the
+        row's maximum."""
+        w = self.weights[agent]
+        share = self.share
+        row = []
+        for mine in self.terms[agent]:
+            u = 0
+            for j, wv in mine:
+                u += wv * share[loads[j] + w]
+            row.append(u)
+        return row
+
     def preplace(self, order):
         """Loads with every single-strategy agent placed, all-zero choices,
         and the agents of `order` that have a real choice, in that order.

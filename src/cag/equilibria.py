@@ -16,6 +16,13 @@ representative expands to its whole orbit, and the expanded list is sorted;
 reports are the same as a full scan of the profile space would give, and
 `profiles_scanned` is the size of that space.
 
+Only the last choosing agent's best responses are tested for equilibrium.
+Once every other agent is placed, that agent's utility under each of its
+strategies is fixed by the loads, so the walk scores its whole strategy list
+once (`Evaluator.join_row`) and sends to the full equilibrium test only the
+leaves where its choice attains the row's maximum; any other leaf gives it a
+better response.  Every leaf still counts toward the welfare optimum.
+
 A budget guard, `model.check_budget`, makes infeasible instances fail loudly
 instead of being silently sampled: no general efficient method exists for
 these questions, so exhaustive search is the only exactness-preserving
@@ -101,6 +108,11 @@ def _walk(
     order.  `top` restricts the first choosing agent's choices (one
     worker's share); `first_pne` stops at the first equilibrium.
 
+    With every other agent placed, the last choosing agent's utilities are
+    scored once, over all of its strategies even where twins or `top` limit
+    the choices visited; a leaf is tested for equilibrium only if that
+    agent's choice attains the maximum.  Every leaf updates the optimum.
+
     Returns the equilibrium representatives as (choices, welfare) pairs,
     and the optimal welfare with its lexicographically-first witness, which
     is always a representative.
@@ -116,13 +128,15 @@ def _walk(
     reps: list[tuple[tuple[int, ...], int]] = []
     best_welfare, best_profile = -1, None
 
-    def place(t: int, welfare: int) -> bool:
-        """Place the choosing agents from the t-th on; True means stop."""
+    def place(t: int, welfare: int, candidate: bool) -> bool:
+        """Place the choosing agents from the t-th on; True means stop.
+        `candidate` is False when no leaf below needs the equilibrium test:
+        none is wanted, or the last choosing agent has a better response."""
         nonlocal best_welfare, best_profile
         if t == depth:
             if welfare > best_welfare:
                 best_welfare, best_profile = welfare, tuple(choices)
-            if test_pne and is_pne(choices, loads, 1, 1):
+            if candidate and is_pne(choices, loads, 1, 1):
                 reps.append((tuple(choices), welfare))
                 return first_pne
             return False
@@ -133,6 +147,12 @@ def _walk(
             options = top
         else:
             options = range(choices[twin[i]] if twin[i] >= 0 else 0, len(space))
+        row = None
+        if t == depth - 1 and candidate:
+            # Everyone else is placed, so these are i's exact utilities at
+            # every leaf below, over all its strategies, not only `options`.
+            row = ev.join_row(loads, i)
+            best = max(row)
         for c in options:
             choices[i] = c
             gain = 0
@@ -140,7 +160,9 @@ def _walk(
                 if not loads[j]:
                     gain += values[j]
                 loads[j] += w
-            stop = place(t + 1, welfare + gain)
+            stop = place(
+                t + 1, welfare + gain, candidate if row is None else row[c] == best
+            )
             for j in space[c]:
                 loads[j] -= w
             if stop:
@@ -148,7 +170,7 @@ def _walk(
         return False
 
     try:
-        place(0, ev.welfare(loads))
+        place(0, ev.welfare(loads), test_pne)
     finally:
         del place  # the closure refers to itself; free the Evaluator now, not at gc
     return reps, best_welfare, best_profile
@@ -200,6 +222,8 @@ def _worker_count(jobs: int) -> int:
     than the machine's CPU count."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs == 1:  # a serial scan needs no CPU count
+        return 1
     return min(jobs, os.cpu_count() or 1)
 
 

@@ -18,14 +18,15 @@ answers each state once from a table keyed by (t, loads), plus the queried
 agent's choice once that agent has moved, since its utility depends on it.
 An outcome is an interned id of a distinct leaf: its final loads and the
 queried agent's choice.  The last mover's children are single leaves, so
-the walk scores its choices straight from the loads and interns only the
-leaves of the tied best ones; every earlier mover scores its own utility on
-each id from the final loads, and deduplication hashes small ints.  For
-`spoa` each last decision also takes the best welfare among its choices,
-which every profile reaches through some state, so the optimum comes from
-the same walk.  `spe_solve` runs the one plain walk, `_solve`, in either
-mode; the modes differ only in how a mover merges its children.  It
-reports the root's outcomes as profiles, and it is the reference the
+the walk scores its choices straight from the loads (`Evaluator.join_row`,
+as `equilibria._walk` does for its last choosing agent) and interns only
+the leaves of the tied best ones; every earlier mover scores its own
+utility on each id from the final loads, and deduplication hashes small
+ints.  For `spoa` each last decision also takes the best welfare among its
+choices, which every profile reaches through some state, so the optimum
+comes from the same walk.  `spe_solve` runs the one plain walk, `_solve`,
+in either mode; the modes differ only in how a mover merges its children.
+It reports the root's outcomes as profiles, and it is the reference the
 memoized walk is tested against.  Both walks place single-strategy movers
 once, before they start, since those movers make no decision.  Every entry
 point first refuses, with `model.check_budget`, a game whose profiles
@@ -154,12 +155,7 @@ def _achievable(ev: Evaluator, order, agent: int | None = None):
             # Each child is a single leaf, so the merge keeps exactly the
             # mover's best choices: score them from the loads, and intern
             # only their leaves.
-            scores = []
-            for mine in terms[mover]:
-                u = 0
-                for j, wv in mine:
-                    u += wv * share[loads[j] + w]
-                scores.append(u)
+            scores = ev.join_row(loads, mover)
             best = max(scores)
             merged = set()
             for s, u in enumerate(scores):

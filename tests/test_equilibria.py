@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,6 +23,7 @@ from cag import (
     social_welfare,
     utility,
 )
+from cag.engine import Evaluator
 from cag.equilibria import EquilibriumReport, _worker_count
 
 from conftest import src_env
@@ -180,6 +182,21 @@ def games_with_twins(draw):
     return Instance.build(nodes, agents)
 
 
+# The last agent ties q1 and q2 while a1 holds q3; only the leaf with a2 on
+# q1 is an equilibrium, since with a2 on q2 a1 moves to q1 (4 > 3).
+TIED_LAST_AGENT = Instance.build(
+    [("q1", 4), ("q2", 4), ("q3", 3)],
+    [("a1", 1, [[2], [0]]), ("a2", 1, [[0], [1]])],
+)
+# a2 is a1's twin: with a1 on q2 the walk visits only a2 on q2, but a2's
+# best response is q1, and the optimum (a1 on q1, a2 on q2) is no best
+# response of a2.
+TWIN_LAST_AGENT = Instance.build(
+    [("q1", 3), ("q2", 1)],
+    [("a1", 1, [[0], [1]]), ("a2", 1, [[0], [1]])],
+)
+
+
 def brute_force_report(inst):
     """The report from a plain product scan in exact fractions."""
     profiles = [
@@ -214,11 +231,82 @@ def brute_force_report(inst):
     Instance.build([("q1", 1), ("q2", 2)],
                    [("a1", 1, [[0], [1]]), ("a2", 2, [[0], [1]])])
 )
+@example(TIED_LAST_AGENT)
+@example(TWIN_LAST_AGENT)
 def test_kernel_matches_brute_force(inst):
     expected = brute_force_report(inst)
     assert analyze(inst) == expected
     assert pne_exists(inst) == bool(expected.pne)
     assert optimal_social_welfare(inst) == (expected.opt_welfare, expected.opt_profile)
+
+
+def representatives(inst):
+    """The profiles the walk visits, in its order: every class of
+    interchangeable agents takes non-decreasing choices."""
+    classes: dict = {}
+    for i, a in enumerate(inst.agents):
+        classes.setdefault((a.weight, a.strategies), []).append(i)
+    for choices in itertools.product(*(range(len(a.strategies)) for a in inst.agents)):
+        if all(
+            choices[i] <= choices[k]
+            for members in classes.values()
+            for i, k in zip(members, members[1:])
+        ):
+            yield choices
+
+
+def best_response_leaves(inst):
+    """The visited profiles at which the last agent with a choice (if any)
+    plays a best response, in exact fractions."""
+    choosing = [i for i, a in enumerate(inst.agents) if len(a.strategies) > 1]
+    for choices in representatives(inst):
+        if choosing:
+            last = choosing[-1]
+            row = [
+                utility(inst, StrategyProfile(choices[:last] + (s,) + choices[last + 1:]),
+                        last)
+                for s in range(len(inst.agents[last].strategies))
+            ]
+            if row[choices[last]] < max(row):
+                continue
+        yield choices
+
+
+def profiles_tested_by(call):
+    """The profiles `call()` sends to the engine's equilibrium test."""
+    tested = []
+    original = Evaluator.is_approx_pne
+
+    def recording(self, choices, loads, alpha_num, alpha_den):
+        tested.append(tuple(choices))
+        return original(self, choices, loads, alpha_num, alpha_den)
+
+    with mock.patch.object(Evaluator, "is_approx_pne", recording):
+        call()
+    return tested
+
+
+@settings(max_examples=100, deadline=None)
+@given(games_with_twins())
+@example(TIED_LAST_AGENT)
+@example(TWIN_LAST_AGENT)
+def test_equilibrium_tests_only_best_response_leaves(inst):
+    """`analyze` tests exactly the visited leaves where the last choosing
+    agent attains its best utility over all its strategies."""
+    assert profiles_tested_by(lambda: analyze(inst)) == list(best_response_leaves(inst))
+
+
+def test_pne_exists_stops_at_a_later_tied_best_leaf():
+    """a2 ties its two strategies while a1 holds q3; the first tied leaf is
+    no equilibrium (a1 moves to q1), the second is, and the walk stops
+    there."""
+    inst = Instance.build(
+        [("q1", 4), ("q2", 4), ("q3", 3)],
+        [("a1", 1, [[2], [0]]), ("a2", 1, [[1], [0]])],
+    )
+    assert [p.choices for p in analyze(inst).pne] == [(0, 1), (1, 0)]
+    assert profiles_tested_by(lambda: pne_exists(inst)) == [(0, 0), (0, 1)]
+    assert pne_exists(inst)
 
 
 @pytest.mark.parametrize(
@@ -234,6 +322,14 @@ def test_analyze_jobs_matches_serial(monkeypatch, inst):
     assert analyze(inst, jobs=2) == analyze(inst, jobs=1)
 
 
+def test_worker_count_serial_reads_no_cpu_count(monkeypatch):
+    def cpu_count():
+        raise AssertionError("a serial scan asked for the CPU count")
+
+    monkeypatch.setattr(os, "cpu_count", cpu_count)
+    assert _worker_count(1) == 1
+
+
 def test_worker_count_clamps_to_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     assert [_worker_count(j) for j in (1, 3, 4, 5, 100_000)] == [1, 3, 4, 4, 4]
@@ -244,9 +340,10 @@ def test_worker_count_clamps_to_cpu_count(monkeypatch):
             _worker_count(bad)
 
 
-def test_analyze_caps_worker_processes(monkeypatch):
-    """A huge `jobs` asks for one worker per CPU; the pool is replaced by an
-    in-process stand-in, so no process starts."""
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the process pool by an in-process stand-in, so no process
+    starts; returns the list of `max_workers` of every pool asked for."""
     requested = []
 
     class InlinePool:
@@ -263,11 +360,34 @@ def test_analyze_caps_worker_processes(monkeypatch):
             return map(fn, parts)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    return requested
+
+
+def test_analyze_caps_worker_processes(monkeypatch, inline_pool):
+    """A huge `jobs` asks for one worker per CPU."""
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     inst = gen_random("symmetric", seed=14, num_nodes=6, num_agents=3,
                       num_strategies=4)
     assert analyze(inst, jobs=100_000) == analyze(inst)
-    assert requested == [3]
+    assert inline_pool == [3]
+
+
+def test_analyze_jobs_split_the_last_choosing_agent(monkeypatch, inline_pool):
+    """With one agent that has a choice, the workers' shares of its choices
+    are the leaves of its row; each worker still scores the whole row, so a
+    share without a best response reports no equilibrium."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    # utilities with p1 on q1: 1, 2, 1, 2, 1, 1, 1, 2, 1, 1; the even
+    # worker's share holds no best response
+    space = [[0], [3], [4], [1, 2], [1], [2], [4], [0, 4], [4], [0]]
+    inst = Instance.build(
+        [("q1", 2), ("q2", 1), ("q3", 1), ("q4", 2), ("q5", 1)],
+        [("a1", 1, space), ("p1", 1, [[0]])],
+    )
+    report = analyze(inst, jobs=2)
+    assert inline_pool == [2]
+    assert report == analyze(inst)
+    assert [p.choices for p in report.pne] == [(1, 0), (3, 0), (7, 0)]
 
 
 def test_import_loads_no_process_pool():
