@@ -2,7 +2,13 @@
 reports.
 
 Rationals always serialize as ``"p/q"`` strings, never floats, so
-downstream diffs are exact.  Loaders read parsed JSON only through `_field`,
+downstream diffs are exact.  Instance, game and reduction documents, which
+grow with the instance, come from one text writer, `_instance_text`: it
+encodes each id once and writes the layout of ``json.dumps(..., indent=2)``
+as literal separators (``json.dumps`` with ``indent`` runs json's
+pure-Python encoder), and the tests keep ``json.dumps`` as its oracle.
+Reports, SPE results and traces grow with the answer and stay on
+``json.dumps``.  Loaders read parsed JSON only through `_field`,
 `_id`, `_list`, `_int`, `_one_of` and `parse_rational`, none of which
 coerces a value, so a malformed file raises one ValueError naming the entry
 and the field; a duplicate id also names its line (best effort on
@@ -107,29 +113,57 @@ def _json(text: str) -> dict:
 
 
 def dumps_instance(inst: Instance) -> str:
-    return json.dumps(_instance_dict(inst), indent=2) + "\n"
+    return _instance_text(inst, "") + "\n"
 
 
-def _instance_dict(built: Instance | SequentialGame) -> dict:
-    """An instance's JSON object, or a game's: its instance's plus the move
-    order as agent ids."""
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _scalar(value) -> str:
+    """`json.dumps(value)`, with an exact str or int encoded inline."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    return repr(value) if kind is int else json.dumps(value)
+
+
+def _array(items: list[str], pad: str) -> str:
+    """The `indent=2` layout of a JSON array of encoded `items`, for an
+    array that opens on a line indented by `pad`."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+
+
+def _instance_text(built: Instance | SequentialGame, pad: str) -> str:
+    """`json.dumps(document, indent=2)` of an instance, or of a game (its
+    instance's fields plus the move order as agent ids), nested in a line
+    indented by `pad`.  Each id is encoded once; a strategy is one join."""
     inst = built.instance if isinstance(built, SequentialGame) else built
-    data = {
-        "nodes": [{"id": n.id, "value": n.value} for n in inst.nodes],
-        "agents": [
-            {
-                "id": a.id,
-                "weight": a.weight,
-                "strategies": [
-                    [inst.nodes[j].id for j in s] for s in a.strategies
-                ],
-            }
-            for a in inst.agents
-        ],
-    }
+    # p<k>: the indentation of nesting level k below the document's line
+    p1, p2, p3, p4, p5 = (pad + "  " * k for k in range(1, 6))
+    ids = [_scalar(n.id) for n in inst.nodes]
+    nodes = [
+        f'{{\n{p3}"id": {i},\n{p3}"value": {_scalar(n.value)}\n{p2}}}'
+        for i, n in zip(ids, inst.nodes)
+    ]
+    agent_ids = [_scalar(a.id) for a in inst.agents]
+    # a strategy's array: `_array` at level 4, inlined as strategies are
+    # the most numerous arrays
+    start, sep, end = f"[\n{p5}", f",\n{p5}", f"\n{p4}]"
+    agents = [
+        f'{{\n{p3}"id": {i},\n{p3}"weight": {_scalar(a.weight)},\n{p3}"strategies": '
+        + _array([start + sep.join([ids[j] for j in s]) + end if s else "[]"
+                  for s in a.strategies], p3)
+        + f"\n{p2}}}"
+        for i, a in zip(agent_ids, inst.agents)
+    ]
+    text = f'{{\n{p1}"nodes": {_array(nodes, p1)},\n{p1}"agents": {_array(agents, p1)}'
     if built is not inst:
-        data["order"] = [inst.agents[i].id for i in built.order]
-    return data
+        order = _array([agent_ids[i] for i in built.order], p1)
+        text += f',\n{p1}"order": {order}'
+    return text + f"\n{pad}}}"
 
 
 def loads_instance(text: str) -> Instance:
@@ -237,7 +271,7 @@ def loads_profile(text: str) -> StrategyProfile:
 
 
 def dumps_game(game: SequentialGame) -> str:
-    return json.dumps(_instance_dict(game), indent=2) + "\n"
+    return _instance_text(game, "") + "\n"
 
 
 def loads_game(text: str) -> SequentialGame:
@@ -261,8 +295,11 @@ def loads_game(text: str) -> SequentialGame:
 def dumps_reduction(red: ReductionOutput) -> str:
     """The built instance or game and the back-mapping, with every rational
     of the mapping as a "p/q" string."""
-    data = {"instance": _instance_dict(red.instance), "mapping": red.mapping}
-    return json.dumps(data, indent=2, default=rational_str) + "\n"
+    mapping = json.dumps(red.mapping, indent=2, default=rational_str)
+    # a JSON string holds no raw newline, so this indents the mapping a level
+    mapping = mapping.replace("\n", "\n  ")
+    instance = _instance_text(red.instance, "  ")
+    return f'{{\n  "instance": {instance},\n  "mapping": {mapping}\n}}\n'
 
 
 def dumps_graph(graph: CutGraph) -> str:

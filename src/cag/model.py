@@ -13,6 +13,7 @@ number of concurrent callers may share them.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -228,6 +229,9 @@ def classify_symmetry(inst: Instance) -> SymmetryClass:
 def validate_instance(inst: Instance) -> ValidationReport:
     """Check hard invariants (errors) and node coverage (warning).
 
+    A total node value of more digits than `sys.get_int_max_str_digits()`
+    is an error: a welfare that large could not be written as text.
+
     Coverage of all nodes by the union of the strategy spaces is reported as
     a warning only: every computation is well-defined without it.
     """
@@ -241,6 +245,13 @@ def validate_instance(inst: Instance) -> ValidationReport:
         seen_node_ids.add(node.id)
         if node.value < 1:
             errors.append(f"node {node.id!r}: non-positive value {node.value}")
+    # a welfare, at most the total value, past `int()`'s digit limit could
+    # not be written as text.  8**limit < 10**limit, so the shift screens
+    # out usual totals without computing the power of ten
+    limit = sys.get_int_max_str_digits()
+    total = sum(node.value for node in inst.nodes)
+    if limit and total >= 1 << 3 * limit and total >= 10**limit:
+        errors.append(f"node values: total exceeds the limit of {limit} digits")
 
     if not inst.agents:
         errors.append("no agents")

@@ -7,12 +7,16 @@ from fractions import Fraction
 from io import StringIO
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cag import (
+    Agent,
     CutGraph,
     DynamicsConfig,
+    Instance,
+    Node,
+    SequentialGame,
     StrategyProfile,
     ThreeDMInstance,
     TqbfFormula,
@@ -102,6 +106,9 @@ def test_loaders_refuse_numbers_for_rationals(loads, text, message):
 
 _LIMIT = sys.get_int_max_str_digits()
 _HUGE = "1" * (_LIMIT + 700)
+# the largest int of `_LIMIT` digits, the most `int()` converts to text;
+# its sum with any positive value has more
+_LARGEST = 10**_LIMIT - 1
 
 
 @pytest.mark.parametrize(
@@ -149,6 +156,28 @@ def test_cli_refuses_number_text_past_the_digit_limit(
     assert len(line) < 200
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "FILE"], ["analyze", "FILE"], ["eval", "FILE", "--profile", "0,0"],
+     ["spoa", "FILE"], ["dynamics", "FILE"], ["gadget", "symmetrize", "FILE"]],
+    ids=lambda argv: argv[0] if argv[0] != "gadget" else "gadget",
+)
+def test_cli_refuses_a_total_value_past_the_digit_limit(tmp_path, capsys, argv):
+    """Each value is number text `int()` converts, but their total, which
+    bounds the welfare, is not: every command refuses the file up front."""
+    huge = str(_LARGEST)
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"nodes": [{"id": "q1", "value": %s}, {"id": "q2", "value": %s}], '
+        '"agents": [{"id": "a1", "weight": 1, "strategies": [["q1"], ["q2"]]}, '
+        '{"id": "a2", "weight": 1, "strategies": [["q1", "q2"]]}]}' % (huge, huge)
+    )
+    assert run_cli([str(path) if a == "FILE" else a for a in argv]) == 2
+    error = capsys.readouterr().err
+    prefix = "" if argv[0] == "validate" else "cag: "
+    assert error == f"{prefix}node values: total exceeds the limit of {_LIMIT} digits\n"
+
+
 @given(instances())
 def test_instance_round_trip(inst):
     assert io.loads_instance(io.dumps_instance(inst)) == inst
@@ -170,6 +199,69 @@ def test_game_without_order_uses_natural_order():
     data = json.loads(io.dumps_game(game))
     del data["order"]
     assert io.loads_game(json.dumps(data)) == game
+
+
+def _document(built) -> dict:
+    """The reference for `io`'s text writer: the JSON object of an instance,
+    or of a game (its instance's plus the move order as agent ids), which
+    the writer must lay out exactly as `json.dumps(..., indent=2)` does."""
+    inst = built.instance if isinstance(built, SequentialGame) else built
+    data = {
+        "nodes": [{"id": n.id, "value": n.value} for n in inst.nodes],
+        "agents": [
+            {
+                "id": a.id,
+                "weight": a.weight,
+                "strategies": [
+                    [inst.nodes[j].id for j in s] for s in a.strategies
+                ],
+            }
+            for a in inst.agents
+        ],
+    }
+    if built is not inst:
+        data["order"] = [inst.agents[i].id for i in built.order]
+    return data
+
+
+# ids from all of Unicode, lone surrogates included, with the characters
+# JSON escapes drawn often
+_ID_CHARS = st.one_of(
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u2028", "\U0001f600"]),
+    st.characters(blacklist_categories=()),
+)
+_IDS = st.text(_ID_CHARS, max_size=5)
+_NUMBERS = st.one_of(st.integers(1, 10), st.integers(1, _LARGEST))
+
+
+@st.composite
+def _any_games(draw):
+    """Games whose instances need not be valid: any ids, numbers within the
+    digit limit, empty strategies and spaces, and a shuffled move order."""
+    nodes = draw(st.lists(st.builds(Node, _IDS, _NUMBERS), max_size=5))
+    strategy = st.lists(st.integers(0, len(nodes) - 1), max_size=4).map(tuple)
+    space = st.lists(strategy if nodes else st.just(()), max_size=3).map(tuple)
+    agents = draw(st.lists(st.builds(Agent, _IDS, _NUMBERS, space), max_size=4))
+    order = draw(st.permutations(range(len(agents))))
+    return SequentialGame(Instance(tuple(nodes), tuple(agents)), tuple(order))
+
+
+@settings(max_examples=300)
+@example(SequentialGame(Instance((Node("q", True),), (Agent("a", 1, ((0,),)),)), (0,)))
+@given(_any_games())
+def test_instance_and_game_text_match_json_dumps(game):
+    assert io.dumps_game(game) == json.dumps(_document(game), indent=2) + "\n"
+    inst = game.instance
+    assert io.dumps_instance(inst) == json.dumps(_document(inst), indent=2) + "\n"
+
+
+def test_instance_text_refuses_a_value_past_the_digit_limit():
+    inst = Instance((Node("q", 10**_LIMIT),), (Agent("a", 1, ((0,),)),))
+    with pytest.raises(ValueError) as expected:
+        json.dumps(_document(inst), indent=2)
+    with pytest.raises(ValueError) as refusal:
+        io.dumps_instance(inst)
+    assert str(refusal.value) == str(expected.value)
 
 
 def test_report_round_trip(example1_minus_dummy, example1):
@@ -878,26 +970,44 @@ def _slots(node):
 @st.composite
 def _mutated(draw, text: str) -> bytes:
     """`text` with one to three mutations: a dropped key or item, a replaced
-    value, a duplicated item (a duplicate id in an id list), or a byte that
-    is not valid UTF-8."""
+    value, a duplicated item (a duplicate id in an id list), an int made
+    `_LARGEST`, or a byte that is not valid UTF-8."""
     if draw(st.integers(0, 9)) == 0:
         raw = text.encode()
         k = draw(st.integers(0, len(raw)))
         return raw[:k] + b"\xff" + raw[k:]
     data = json.loads(text)
     for _ in range(draw(st.integers(1, 3))):
+        action = draw(st.sampled_from(["drop", "replace", "duplicate", "huge"]))
         slots = list(_slots(data))
+        if action == "huge":
+            slots = [(parent, key) for parent, key in slots if type(parent[key]) is int]
         if not slots:
-            break
+            continue
         parent, key = draw(st.sampled_from(slots))
-        action = draw(st.sampled_from(["drop", "replace", "duplicate"]))
         if action == "drop":
             del parent[key]
         elif action == "replace":
             parent[key] = copy.deepcopy(draw(st.sampled_from(_REPLACEMENTS)))
+        elif action == "huge":
+            parent[key] = _LARGEST
         elif isinstance(parent, list):
             parent.insert(key, copy.deepcopy(parent[key]))
     return json.dumps(data).encode()
+
+
+def _total_value(raw: bytes) -> int:
+    """The sum of the int node values in an instance or game file; 0 if it
+    is not JSON or holds no node list."""
+    try:
+        data = json.loads(raw)
+    except ValueError:
+        return 0
+    nodes = data.get("nodes") if isinstance(data, dict) else None
+    if not isinstance(nodes, list):
+        return 0
+    values = [n.get("value") for n in nodes if isinstance(n, dict)]
+    return sum(v for v in values if type(v) is int)
 
 
 def _parses_back(command: str, out: str) -> None:
@@ -923,13 +1033,16 @@ def test_cli_fuzzed_files_exit_cleanly(tmp_path_factory, data):
     directory = tmp_path_factory.mktemp("fuzz", numbered=True)
     inst, path = directory / "inst.json", directory / "input.json"
     inst.write_text(_FUZZ_BASES["instance"])
-    path.write_bytes(data.draw(_mutated(_FUZZ_BASES[kind])))
+    raw = data.draw(_mutated(_FUZZ_BASES[kind]))
+    path.write_bytes(raw)
     argv = [{"FILE": str(path), "INST": str(inst)}.get(a, a) for a in argv]
     out, err = StringIO(), StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         rc = run_cli(argv)
     out, err = out.getvalue(), err.getvalue()
     lines = err.splitlines()
+    if kind in ("instance", "unit", "game") and _total_value(raw) > _LARGEST:
+        assert rc == 2  # refused up front, by the loader or the validation
     if rc == 0:
         assert not err
         _parses_back(argv[0], out)

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -121,6 +122,20 @@ def test_validate_flags_bad_index_and_weight():
     errors = " ".join(validate_instance(inst).errors)
     assert "out of range" in errors
     assert "non-positive weight" in errors
+
+
+def test_validate_flags_a_total_value_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    largest = 10**limit - 1  # the largest total of `limit` digits
+
+    def errors(total):
+        nodes = [("q1", total - 1), ("q2", 1)]
+        return validate_instance(Instance.build(nodes, [("a1", 1, [[0, 1]])])).errors
+
+    assert errors(largest) == ()
+    assert errors(largest + 1) == (
+        f"node values: total exceeds the limit of {limit} digits",
+    )
 
 
 def test_validate_warns_on_uncovered_nodes():

@@ -4,14 +4,17 @@ The benchmark in `perfbench/` calls the public library by name and its
 tracer wraps functions and `Evaluator` methods by name.  Running every
 workload at its tiny size, and installing the tracer, here makes a change
 that deletes or renames one of them fail in the test suite rather than only
-in a benchmark run.  `reference.py` takes minutes, so it is not run: its
-calls into `cag` are read from its source and bound to the signatures.
+in a benchmark run; comparing the jobs' outputs with the pinned digests
+does the same for a change that alters an output byte.  `reference.py`
+takes minutes, so it is not run: its calls into `cag` are read from its
+source and bound to the signatures.
 """
 
 import ast
 import importlib
 import inspect
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,21 +26,37 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 @pytest.fixture
 def perfbench(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    return importlib.import_module("workloads"), importlib.import_module("tracing")
+    return SimpleNamespace(
+        **{name: importlib.import_module(name) for name in ("run", "tracing", "workloads")}
+    )
+
+
+def _pool_matches_its_digests(perfbench, name: str, size: str, seed: int) -> None:
+    """Every job of the pool passes its oracle check, and its outputs hash
+    to the digest `digests.json` pins, as in a benchmark run."""
+    workload = perfbench.workloads.WORKLOADS[name]
+    inputs = workload.setup(seed, workload.sizes[size])
+    assert inputs
+    outs = [workload.job(item) for item in inputs]
+    for item, out in zip(inputs, outs):
+        workload.check(item, out)
+    pinned = perfbench.run.pinned_digests(name, size, seed)
+    assert [perfbench.run.digest(out) for out in outs] == pinned
 
 
 @pytest.mark.parametrize("name", ["symmetric", "weighted", "qbf", "dynamics"])
 def test_workload_runs_and_checks_at_tiny_size(perfbench, name):
-    workloads, _ = perfbench
-    workload = workloads.WORKLOADS[name]
-    inputs = workload.setup(1, workload.sizes["tiny"])
-    assert inputs
-    for item in inputs:
-        workload.check(item, workload.job(item))
+    _pool_matches_its_digests(perfbench, name, "tiny", 1)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_qbf_workload_matches_its_digests_at_full_size(perfbench, seed):
+    """The only job that writes a game document: a layout slip fails here."""
+    _pool_matches_its_digests(perfbench, "qbf", "full", seed)
 
 
 def test_tracer_installs_and_uninstalls(perfbench):
-    _, tracing = perfbench
+    tracing = perfbench.tracing
     before = dict(vars(engine.Evaluator))
     tracer = tracing.Tracer()
     tracer.install()
