@@ -11,6 +11,10 @@ is ``lcm(1..m)``; with weights it stays small where ``lcm(1..total weight)``
 would grow exponentially.  `Fraction` values are recovered at the API
 boundary.
 
+The engine also owns the welfare optimum, `optimum`: one pass over
+covered-node bitmasks, whose layers hold no more masks than
+`equilibria._walk` has orbit representatives at the same depth.
+
 The engine is read-only after construction and safe to share.
 """
 
@@ -185,6 +189,46 @@ class Evaluator:
                 for j in self.spaces[i][0]:
                     loads[j] += w
         return loads, [0] * self.num_agents, active
+
+    def optimum(self) -> tuple[int, tuple[int, ...]]:
+        """The optimal welfare and its lexicographically-first witness.
+
+        Welfare depends only on the covered nodes.  Single-strategy agents
+        are placed first; then each choosing agent, in index order, extends
+        every mask of the layer before.  A layer keeps, per mask, the first
+        (parent mask, choice) that reaches it, visiting parents in that
+        order and choices in ascending order, so each mask's path is the
+        lexicographically-first prefix reaching it: a sorted choice within
+        each class of interchangeable agents, hence an orbit
+        representative.  The last layer is only scored, keeping the first
+        best it meets.
+        """
+        values = self.values
+        loads, choices, active = self.preplace(range(self.num_agents))
+        if not active:
+            return self.welfare(loads), tuple(choices)
+        start = sum(1 << j for j, c in enumerate(loads) if c)
+        layers = [{start: (None, 0, self.welfare(loads))}]
+        for i in active[:-1]:
+            bits = [sum(1 << j for j in nodes) for nodes in self.spaces[i]]
+            layer: dict = {}
+            for mask, (_, _, welfare) in layers[-1].items():
+                for c, nodes in enumerate(self.spaces[i]):
+                    covered = mask | bits[c]
+                    if covered not in layer:
+                        gain = sum(values[j] for j in nodes if not mask >> j & 1)
+                        layer[covered] = (mask, c, welfare + gain)
+            layers.append(layer)
+        best = (-1, None, 0)
+        for mask, (_, _, welfare) in layers[-1].items():
+            for c, nodes in enumerate(self.spaces[active[-1]]):
+                total = welfare + sum(values[j] for j in nodes if not mask >> j & 1)
+                if total > best[0]:
+                    best = (total, mask, c)
+        welfare, mask, choices[active[-1]] = best
+        for i, layer in zip(reversed(active[:-1]), reversed(layers)):
+            mask, choices[i], _ = layer[mask]
+        return welfare, tuple(choices)
 
     def first_improvement(self, choices, loads, alpha_num: int, alpha_den: int):
         """The first deviation, in (agent, strategy) order, worth more than

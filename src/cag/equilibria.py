@@ -1,27 +1,28 @@
 """Exhaustive equilibrium analysis at desk scale.
 
-Every question here -- the equilibrium set, existence, the welfare optimum,
-the price of anarchy -- is answered by one exact, deterministic enumeration
-kernel, `_walk`.  It places agents one at a time in index order and updates
-loads and welfare as it goes, so no profile is evaluated from scratch;
-agents with a single strategy are placed once, before the walk.
+The equilibrium set, existence and the price of anarchy are answered by one
+exact, deterministic enumeration kernel, `_walk`.  It places agents one at a
+time in index order and updates loads as it goes, so no profile is
+evaluated from scratch; agents with a single strategy are placed once,
+before the walk.  The welfare optimum and its lexicographically-first
+witness come from `Evaluator.optimum`, which needs no profile scan.
 
 Agents with the same weight and the same strategy tuple are interchangeable:
 permuting their choices permutes their utilities and leaves loads and
 welfare unchanged.  The walk therefore gives each such class non-decreasing
 choices and visits one representative per orbit, the lexicographically
-smallest.  It visits them in lexicographic order, so the first optimum it
-meets is the lexicographically-first witness.  Each equilibrium
-representative expands to its whole orbit, and the expanded list is sorted;
-reports are the same as a full scan of the profile space would give, and
-`profiles_scanned` is the size of that space.
+smallest.  Each equilibrium representative expands to its whole orbit, and
+the expanded list is sorted; reports are the same as a full scan of the
+profile space would give, and `profiles_scanned` is the size of that space.
 
-Only the last choosing agent's best responses are tested for equilibrium.
-Once every other agent is placed, that agent's utility under each of its
-strategies is fixed by the loads, so the walk scores its whole strategy list
-once (`Evaluator.join_row`) and sends to the full equilibrium test only the
-leaves where its choice attains the row's maximum; any other leaf gives it a
-better response.  Every leaf still counts toward the welfare optimum.
+Only the last choosing agent's best responses are placed.  Once every other
+agent is placed, that agent's utility under each of its strategies is fixed
+by the loads, so the walk scores its whole strategy list once
+(`Evaluator.join_row`) and visits only the leaves where its choice attains
+the row's maximum; any other leaf gives it a better response, so it is no
+equilibrium.  Each visited leaf gets the full equilibrium test, and an
+equilibrium's welfare is read from its loads there, for the price of
+anarchy.
 
 A budget guard, `model.check_budget`, makes infeasible instances fail loudly
 instead of being silently sampled: no general efficient method exists for
@@ -92,32 +93,25 @@ def _classes(inst: Instance) -> list[list[int]]:
     return list(groups.values())
 
 
-def _walk(
-    ev: Evaluator,
-    top: range | None = None,
-    test_pne: bool = True,
-    first_pne: bool = False,
-):
+def _walk(ev: Evaluator, top: range | None = None, first_pne: bool = False):
     """Depth-first walk over one representative profile per orbit.
 
     Agents with a single strategy are placed first; the others are placed
-    in index order, adding to loads and welfare as they go.  An agent's
-    choices start at the choice of the previous member of its class, so
-    each class takes non-decreasing choices: the walk visits exactly the
-    lexicographically smallest profile of every orbit, in lexicographic
-    order.  `top` restricts the first choosing agent's choices (one
-    worker's share); `first_pne` stops at the first equilibrium.
+    in index order, adding to loads as they go.  An agent's choices start at
+    the choice of the previous member of its class, so each class takes
+    non-decreasing choices: the walk visits exactly the lexicographically
+    smallest profile of every orbit, in lexicographic order.  `top`
+    restricts the first choosing agent's choices (one worker's share);
+    `first_pne` stops at the first equilibrium.
 
     With every other agent placed, the last choosing agent's utilities are
     scored once, over all of its strategies even where twins or `top` limit
-    the choices visited; a leaf is tested for equilibrium only if that
-    agent's choice attains the maximum.  Every leaf updates the optimum.
+    the choices visited, and only the choices attaining the maximum are
+    placed and tested for equilibrium.
 
-    Returns the equilibrium representatives as (choices, welfare) pairs,
-    and the optimal welfare with its lexicographically-first witness, which
-    is always a representative.
+    Returns the equilibrium representatives as (choices, welfare) pairs.
     """
-    spaces, weights, values = ev.spaces, ev.weights, ev.values
+    spaces, weights = ev.spaces, ev.weights
     twin = [-1] * ev.num_agents  # previous member of the agent's class, or -1
     for members in _classes(ev.instance):
         for prev, i in zip(members, members[1:]):
@@ -126,18 +120,12 @@ def _walk(
     depth = len(active)
     is_pne = ev.is_approx_pne
     reps: list[tuple[tuple[int, ...], int]] = []
-    best_welfare, best_profile = -1, None
 
-    def place(t: int, welfare: int, candidate: bool) -> bool:
-        """Place the choosing agents from the t-th on; True means stop.
-        `candidate` is False when no leaf below needs the equilibrium test:
-        none is wanted, or the last choosing agent has a better response."""
-        nonlocal best_welfare, best_profile
+    def place(t: int) -> bool:
+        """Place the choosing agents from the t-th on; True means stop."""
         if t == depth:
-            if welfare > best_welfare:
-                best_welfare, best_profile = welfare, tuple(choices)
-            if candidate and is_pne(choices, loads, 1, 1):
-                reps.append((tuple(choices), welfare))
+            if is_pne(choices, loads, 1, 1):
+                reps.append((tuple(choices), ev.welfare(loads)))
                 return first_pne
             return False
         i = active[t]
@@ -147,22 +135,18 @@ def _walk(
             options = top
         else:
             options = range(choices[twin[i]] if twin[i] >= 0 else 0, len(space))
-        row = None
-        if t == depth - 1 and candidate:
+        if t == depth - 1:
             # Everyone else is placed, so these are i's exact utilities at
-            # every leaf below, over all its strategies, not only `options`.
+            # every leaf below, over all its strategies, not only `options`;
+            # any other choice gives i a better response.
             row = ev.join_row(loads, i)
             best = max(row)
+            options = [c for c in options if row[c] == best]
         for c in options:
             choices[i] = c
-            gain = 0
             for j in space[c]:
-                if not loads[j]:
-                    gain += values[j]
                 loads[j] += w
-            stop = place(
-                t + 1, welfare + gain, candidate if row is None else row[c] == best
-            )
+            stop = place(t + 1)
             for j in space[c]:
                 loads[j] -= w
             if stop:
@@ -170,10 +154,10 @@ def _walk(
         return False
 
     try:
-        place(0, ev.welfare(loads), test_pne)
+        place(0)
     finally:
         del place  # the closure refers to itself; free the Evaluator now, not at gc
-    return reps, best_welfare, best_profile
+    return reps
 
 
 def _distinct_permutations(items):
@@ -235,9 +219,10 @@ def _walk_part(part):
 def analyze(
     inst: Instance, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> EquilibriumReport:
-    """Enumerate every profile once, collecting the equilibrium set, the
-    optimal welfare with a lexicographically-first witness, and the price of
-    anarchy against the worst equilibrium.
+    """The equilibrium set from one walk over orbit representatives, the
+    optimal welfare with its lexicographically-first witness from
+    `Evaluator.optimum`, and the price of anarchy against the worst
+    equilibrium.
 
     With ``jobs > 1`` the first choosing agent's choices are dealt
     round-robin to at most `_worker_count(jobs)` processes; the merge is
@@ -255,13 +240,10 @@ def analyze(
 
         parts = [(inst, range(r, top, jobs)) for r in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_walk_part, parts))
-        reps = [rep for part in results for rep in part[0]]
-        _, best_welfare, best_profile = min(
-            results, key=lambda part: (-part[1], part[2])
-        )
+            reps = [rep for part in pool.map(_walk_part, parts) for rep in part]
     else:
-        reps, best_welfare, best_profile = _walk(ev)
+        reps = _walk(ev)
+    best_welfare, best_profile = ev.optimum()
     ratio = None
     if reps:
         ratio = Fraction(best_welfare, min(welfare for _, welfare in reps))
@@ -277,15 +259,16 @@ def analyze(
 def pne_exists(inst: Instance, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff the instance has at least one pure Nash equilibrium."""
     check_budget(inst, budget)
-    reps, _, _ = _walk(Evaluator(inst), first_pne=True)
-    return bool(reps)
+    return bool(_walk(Evaluator(inst), first_pne=True))
 
 
 def optimal_social_welfare(
     inst: Instance, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, StrategyProfile]:
-    """Maximal social welfare and its lexicographically-first witness."""
+    """Maximal social welfare and its lexicographically-first witness, from
+    `Evaluator.optimum`.  Raises BudgetError, as `analyze` does, when the
+    profiles outnumber `budget`."""
     check_budget(inst, budget)
-    _, best_welfare, best_profile = _walk(Evaluator(inst), test_pne=False)
+    best_welfare, best_profile = Evaluator(inst).optimum()
     return best_welfare, StrategyProfile(best_profile)
 

@@ -287,14 +287,19 @@ class FractionDecomposition:
 
 
 def first_primes(n: int) -> tuple[int, ...]:
-    """The first n primes, by trial division."""
-    primes: list[int] = []
-    candidate = 2
-    while len(primes) < n:
-        if all(candidate % p for p in primes if p * p <= candidate):
-            primes.append(candidate)
-        candidate += 1
-    return tuple(primes)
+    """The first n primes, by a sieve of Eratosthenes whose bound doubles
+    until it holds n primes."""
+    limit = 16
+    while True:
+        sieve = bytearray([1]) * limit
+        sieve[:2] = b"\0\0"
+        for p in range(2, math.isqrt(limit - 1) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+        primes = [p for p in range(limit) if sieve[p]]
+        if len(primes) >= n:
+            return tuple(primes[:max(n, 0)])
+        limit *= 2
 
 
 def decompose_fraction(n: int, w: int) -> FractionDecomposition:

@@ -229,8 +229,9 @@ def classify_symmetry(inst: Instance) -> SymmetryClass:
 def validate_instance(inst: Instance) -> ValidationReport:
     """Check hard invariants (errors) and node coverage (warning).
 
-    A total node value of more digits than `sys.get_int_max_str_digits()`
-    is an error: a welfare that large could not be written as text.
+    A total node value or agent weight of more digits than
+    `sys.get_int_max_str_digits()` is an error: a welfare or total weight
+    that large could not be written as text.
 
     Coverage of all nodes by the union of the strategy spaces is reported as
     a warning only: every computation is well-defined without it.
@@ -246,12 +247,17 @@ def validate_instance(inst: Instance) -> ValidationReport:
         if node.value < 1:
             errors.append(f"node {node.id!r}: non-positive value {node.value}")
     # a welfare, at most the total value, past `int()`'s digit limit could
-    # not be written as text.  8**limit < 10**limit, so the shift screens
-    # out usual totals without computing the power of ten
+    # not be written as text, nor could a total weight in a refusal.
+    # 8**limit < 10**limit, so the shift screens out usual totals without
+    # computing the power of ten
     limit = sys.get_int_max_str_digits()
-    total = sum(node.value for node in inst.nodes)
-    if limit and total >= 1 << 3 * limit and total >= 10**limit:
-        errors.append(f"node values: total exceeds the limit of {limit} digits")
+    totals = {
+        "node values": sum(node.value for node in inst.nodes),
+        "agent weights": sum(agent.weight for agent in inst.agents),
+    }
+    for what, total in totals.items():
+        if limit and total >= 1 << 3 * limit and total >= 10**limit:
+            errors.append(f"{what}: total exceeds the limit of {limit} digits")
 
     if not inst.agents:
         errors.append("no agents")

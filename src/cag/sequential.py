@@ -22,15 +22,22 @@ the walk scores its choices straight from the loads (`Evaluator.join_row`,
 as `equilibria._walk` does for its last choosing agent) and interns only
 the leaves of the tied best ones; every earlier mover scores its own
 utility on each id from the final loads, and deduplication hashes small
-ints.  For `spoa` each last decision also takes the best welfare among its
-choices, which every profile reaches through some state, so the optimum
-comes from the same walk.  `spe_solve` runs the one plain walk, `_solve`,
-in either mode; the modes differ only in how a mover merges its children.
-It reports the root's outcomes as profiles, and it is the reference the
-memoized walk is tested against.  Both walks place single-strategy movers
-once, before they start, since those movers make no decision.  Every entry
-point first refuses, with `model.check_budget`, a game whose profiles
-outnumber the budget.
+ints.  `spoa` reads the optimum from `Evaluator.optimum`.
+
+When `spe_decision` queries the first choosing mover, the walk tries the
+root's choices in order and stops at the first whose outcomes give that
+mover the threshold.  This is exact: the root keeps every outcome worth at
+least the best value the mover can force, and the mover's best outcome over
+all its choices is always worth that much, so its best at the root is its
+best over all its choices.  For any other queried agent, whose best depends
+on which outcomes the root keeps, the walk runs in full.
+
+`spe_solve` runs the one plain walk, `_solve`, in either mode; the modes
+differ only in how a mover merges its children.  It reports the root's
+outcomes as profiles.  Both walks place single-strategy movers once, before
+they start, since those movers make no decision.  Every entry point first
+refuses, with `model.check_budget`, a game whose profiles outnumber the
+budget.
 
 Strategy lists themselves are exponentially large and never materialized;
 outcomes are certified through achievable continuation values instead.
@@ -119,31 +126,37 @@ def _solve(ev: Evaluator, order, exhaustive: bool):
         del walk  # the closure refers to itself; free the Evaluator now, not at gc
 
 
-def _achievable(ev: Evaluator, order, agent: int | None = None):
+def _achievable(
+    ev: Evaluator, order, agent: int | None = None, goal: int | None = None
+):
     """Outcomes achievable under some tie-breaking, by memoized backward
     induction.
 
-    Returns the root's outcome ids, `finals`, where ``finals[id]`` is the
-    leaf's final loads and `agent`'s choice in it (0 without `agent`), and
-    the optimal welfare over all profiles, which is tracked only without
-    `agent` (0 with it).  The root's ids stand for the outcomes exhaustive
-    `_solve` returns, with outcomes that agree on both merged into one.
+    Returns the root's outcome ids and `finals`, where ``finals[id]`` is the
+    leaf's final loads and `agent`'s choice in it (0 without `agent`).  The
+    root's ids stand for the outcomes exhaustive `_solve` returns, with
+    outcomes that agree on both merged into one.
+
+    With `goal`, a scaled utility, and `agent` the first choosing mover, the
+    root stops at its first choice under which some outcome gives `agent`
+    at least `goal`, and returns that choice's outcomes; if no choice does,
+    it returns its usual outcomes.  Either way `agent`'s best among the
+    returned outcomes reaches `goal` iff its best among the root's does.
     """
     loads, choices, active = ev.preplace(order)
     if not active:
-        return (0,), [(tuple(loads), 0)], ev.welfare(loads)
+        return (0,), [(tuple(loads), 0)]
     spaces, weights, terms, share = ev.spaces, ev.weights, ev.terms, ev.share
-    values = ev.values
     depth = len(active)
     # from this depth on, the queried agent's choice is part of the state
     moved = active.index(agent) + 1 if agent in active else depth + 1
+    # the root may stop at its first choice that reaches `goal`
+    root_stops = goal is not None and active[0] == agent
     ids: dict = {}  # (final loads, queried choice) -> outcome id
     finals: list = []  # outcome id -> (final loads, queried choice)
     table: dict = {}  # state -> its achievable outcome ids
-    opt = 0
 
     def walk(t: int):
-        nonlocal opt
         state = tuple(loads)
         key = (t, state, choices[agent]) if t >= moved else (t, state)
         merged = table.get(key)
@@ -170,13 +183,6 @@ def _achievable(ev: Evaluator, order, agent: int | None = None):
                         oid = ids[leaf] = len(finals)
                         finals.append(leaf)
                     merged.add(oid)
-            if agent is None:
-                # the best profile through this state covers what the loads
-                # cover plus the most value the mover adds on empty nodes
-                covered = ev.welfare(loads)
-                for nodes in spaces[mover]:
-                    added = sum(values[j] for j in nodes if not loads[j])
-                    opt = max(opt, covered + added)
             merged = table[key] = tuple(merged)
             return merged
         scored = []  # per choice: (mover's utility, outcome id) pairs
@@ -195,6 +201,8 @@ def _achievable(ev: Evaluator, order, agent: int | None = None):
                 for j, wv in mine:
                     u += wv * share[final[j]]
                 pairs.append((u, oid))
+            if root_stops and t == 0 and max(pairs)[0] >= goal:
+                return sub
             scored.append(pairs)
         # The mover can force at least the best adversarial continuation
         # value, so only outcomes meeting that threshold are achievable.
@@ -204,7 +212,7 @@ def _achievable(ev: Evaluator, order, agent: int | None = None):
         return merged
 
     try:
-        return walk(0), finals, opt
+        return walk(0), finals
     finally:
         del walk  # the closure refers to itself; free the table now, not at gc
 
@@ -242,13 +250,15 @@ def spe_decision(
     threshold = Fraction(threshold)
     check_budget(game.instance, budget)
     ev = Evaluator(game.instance)
-    roots, finals, _ = _achievable(ev, game.order, agent)
+    # the least scaled utility u with u / den >= threshold
+    goal = -(-threshold.numerator * ev.den // threshold.denominator)
+    roots, finals = _achievable(ev, game.order, agent, goal)
     terms, share = ev.terms[agent], ev.share
     best = max(
         sum(wv * share[loads[j]] for j, wv in terms[choice])
         for loads, choice in (finals[o] for o in roots)
     )
-    return best * threshold.denominator >= threshold.numerator * ev.den
+    return best >= goal
 
 
 def spoa(game: SequentialGame, budget: int = DEFAULT_BUDGET) -> Fraction:
@@ -256,6 +266,6 @@ def spoa(game: SequentialGame, budget: int = DEFAULT_BUDGET) -> Fraction:
     outcome under any tie-breaking."""
     check_budget(game.instance, budget)
     ev = Evaluator(game.instance)
-    roots, finals, opt = _achievable(ev, game.order)
+    roots, finals = _achievable(ev, game.order)
     worst = min(ev.welfare(finals[o][0]) for o in roots)
-    return Fraction(opt, worst)
+    return Fraction(ev.optimum()[0], worst)

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -47,6 +48,11 @@ def test_first_primes():
     assert first_primes(6) == (2, 3, 5, 7, 11, 13)
     assert first_primes(0) == ()
     assert first_primes(100)[-1] == 541
+    # plain trial division by every smaller integer
+    primes = [c for c in range(2, 17_400) if all(c % d for d in range(2, isqrt(c) + 1))]
+    assert len(primes) >= 2_000
+    for n in [*range(60), 1_000, 2_000]:  # every bound the sieve doubles past
+        assert first_primes(n) == tuple(primes[:n]), n
 
 
 def test_decompose_trivial_and_unit():

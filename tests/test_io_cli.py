@@ -178,6 +178,23 @@ def test_cli_refuses_a_total_value_past_the_digit_limit(tmp_path, capsys, argv):
     assert error == f"{prefix}node values: total exceeds the limit of {_LIMIT} digits\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+def test_cli_refuses_a_total_weight_past_the_digit_limit(tmp_path, capsys, command):
+    """Each weight is number text `int()` converts, but their total is not,
+    so no refusal could name it: the file is refused up front."""
+    huge = str(_LARGEST)
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"nodes": [{"id": "q1", "value": 1}, {"id": "q2", "value": 1}], '
+        '"agents": [{"id": "a1", "weight": %s, "strategies": [["q1"], ["q2"]]}, '
+        '{"id": "a2", "weight": %s, "strategies": [["q1", "q2"]]}]}' % (huge, huge)
+    )
+    assert run_cli([command, str(path)]) == 2
+    error = capsys.readouterr().err
+    prefix = "" if command == "validate" else "cag: "
+    assert error == f"{prefix}agent weights: total exceeds the limit of {_LIMIT} digits\n"
+
+
 @given(instances())
 def test_instance_round_trip(inst):
     assert io.loads_instance(io.dumps_instance(inst)) == inst
@@ -996,18 +1013,19 @@ def _mutated(draw, text: str) -> bytes:
     return json.dumps(data).encode()
 
 
-def _total_value(raw: bytes) -> int:
-    """The sum of the int node values in an instance or game file; 0 if it
-    is not JSON or holds no node list."""
+def _total(raw: bytes, items: str, field: str) -> int:
+    """The sum of the int `field`s of the `items` list (node values or agent
+    weights) in an instance or game file; 0 if it is not JSON or holds no
+    such list."""
     try:
         data = json.loads(raw)
     except ValueError:
         return 0
-    nodes = data.get("nodes") if isinstance(data, dict) else None
-    if not isinstance(nodes, list):
+    entries = data.get(items) if isinstance(data, dict) else None
+    if not isinstance(entries, list):
         return 0
-    values = [n.get("value") for n in nodes if isinstance(n, dict)]
-    return sum(v for v in values if type(v) is int)
+    numbers = [e.get(field) for e in entries if isinstance(e, dict)]
+    return sum(v for v in numbers if type(v) is int)
 
 
 def _parses_back(command: str, out: str) -> None:
@@ -1041,7 +1059,9 @@ def test_cli_fuzzed_files_exit_cleanly(tmp_path_factory, data):
         rc = run_cli(argv)
     out, err = out.getvalue(), err.getvalue()
     lines = err.splitlines()
-    if kind in ("instance", "unit", "game") and _total_value(raw) > _LARGEST:
+    if kind in ("instance", "unit", "game") and max(
+        _total(raw, "nodes", "value"), _total(raw, "agents", "weight")
+    ) > _LARGEST:
         assert rc == 2  # refused up front, by the loader or the validation
     if rc == 0:
         assert not err

@@ -138,6 +138,20 @@ def test_validate_flags_a_total_value_past_the_digit_limit():
     )
 
 
+def test_validate_flags_a_total_weight_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    largest = 10**limit - 1
+
+    def errors(total):
+        agents = [("a1", total - 1, [[0]]), ("a2", 1, [[0]])]
+        return validate_instance(Instance.build([("q1", 1)], agents)).errors
+
+    assert errors(largest) == ()
+    assert errors(largest + 1) == (
+        f"agent weights: total exceeds the limit of {limit} digits",
+    )
+
+
 def test_validate_warns_on_uncovered_nodes():
     inst = Instance.build(
         nodes=[("q1", 1), ("q2", 1)], agents=[("a1", 1, [[0]])]

@@ -16,6 +16,7 @@ from cag import (
     build_named_instance,
     gen_random,
     optimal_social_welfare,
+    social_welfare,
     spe_decision,
     spe_solve,
     spoa,
@@ -259,6 +260,23 @@ ONE_ACTIVE = _game([1, 3, 1], [[(1,)], [(0,), (1, 2)]], (1, 0))
 OPT_OFF_PATH = _game([6, 2, 1], [[(0,), (2,)], [(0,), (1,)]])
 
 
+# The queried first mover a1 gets 1 on q1 (a2 takes q2) and 3/2 on q2
+# (shared with a2): its best lies only under its second root choice.
+FIRST_MOVER_BEST_SECOND = _game([1, 3], [[(0,), (1,)], [(0,), (1,)]])
+# a1 on q1 leaves a2 q3 alone (a1 6, a2 10); a1 on (q2, q3) shares q3
+# (a1 9, a2 5).  The root keeps only the second, so the queried later mover
+# a2's highest utility, 10, lies in an outcome the root threshold drops.
+LATER_MOVER_BEST_DROPPED = _game([6, 4, 10, 1], [[(0,), (1, 2)], [(2,), (3,)]])
+
+
+def brute_force_optimum(inst: Instance) -> int:
+    """The optimal welfare by a plain scan of every profile."""
+    return max(
+        social_welfare(inst, StrategyProfile(c))
+        for c in itertools.product(*(range(len(a.strategies)) for a in inst.agents))
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(colliding_games())
 @example(SWAPPED_CHOICES)
@@ -266,14 +284,17 @@ OPT_OFF_PATH = _game([6, 2, 1], [[(0,), (2,)], [(0,), (1,)]])
 @example(NO_DECISION)
 @example(ONE_ACTIVE)
 @example(OPT_OFF_PATH)
+@example(FIRST_MOVER_BEST_SECOND)
+@example(LATER_MOVER_BEST_DROPPED)
 def test_memoized_walk_matches_exhaustive_reference(game):
-    """spoa and spe_decision against the unmemoized exhaustive walk, with
-    every agent queried: singleton-space agents and the last mover too."""
-    outcomes = spe_solve(game, mode="exhaustive").outcomes
-    opt, _ = optimal_social_welfare(game.instance)
-    assert spoa(game) == Fraction(opt, min(sum(o.utilities) for o in outcomes))
+    """spoa and spe_decision against `Fraction` backward induction and a
+    plain optimum scan, with every agent queried: singleton-space agents and
+    the last mover too."""
+    achievable, _ = fraction_backward_induction(game)
+    opt = brute_force_optimum(game.instance)
+    assert spoa(game) == Fraction(opt, min(sum(u) for _, u in achievable))
     for agent in range(game.instance.num_agents):
-        best = max(o.utilities[agent] for o in outcomes)
+        best = max(u[agent] for _, u in achievable)
         assert spe_decision(game, agent, best), agent
         assert not spe_decision(game, agent, best + Fraction(1, 10**6)), agent
 
