@@ -98,11 +98,20 @@ def best_response(
         raise IndexError(f"agent index {agent} out of range")
     ev = Evaluator(inst)
     choices = profile.choices
-    row = ev.deviation_row(choices, ev.loads(choices), agent)
+    row = _deviation_row(ev, choices, ev.loads(choices), agent)
     current = row[choices[agent]]
     best = max(row)
     choice = choices[agent] if best == current else row.index(best)
     return choice, ev.frac(best - current)
+
+
+def _deviation_row(ev: Evaluator, choices, loads, agent: int) -> list[int]:
+    """Scaled utility of `agent` under each of its strategies, with everyone
+    else fixed: `join_row` on the loads without the agent's own."""
+    others = loads[:]
+    for j in ev.spaces[agent][choices[agent]]:
+        others[j] -= ev.weights[agent]
+    return ev.join_row(others, agent)
 
 
 def epsilon_step_bound(inst: Instance, epsilon: Fraction) -> int:
@@ -158,7 +167,7 @@ def run_dynamics(
     if cfg.mode == "epsilon":
         # improvement test: dev * q > cur * (q + p)  <=>  dev > (1+eps) cur
         p, q = cfg.epsilon.numerator, cfg.epsilon.denominator
-        table = [ev.deviation_row(choices, loads, i) for i in range(ev.num_agents)]
+        table = [_deviation_row(ev, choices, loads, i) for i in range(ev.num_agents)]
         select = partial(_max_row_gain, table, choices, p, q)
         move = partial(
             _move_unit, ev, choices, loads, table, _watchers(ev), ev.share + [0]

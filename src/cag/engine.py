@@ -37,7 +37,8 @@ class Evaluator:
         strategy naming a node twice, or a node index out of range; the
         remaining `validate_instance` checks do not affect evaluation.
         Raises BudgetError when the total weight, which sizes the load
-        table, exceeds DEFAULT_BUDGET."""
+        table, exceeds DEFAULT_BUDGET, or that ValueError when the total has
+        too many digits to be written in the refusal."""
         self.instance = inst
         self.num_nodes = inst.num_nodes
         self.num_agents = inst.num_agents
@@ -68,6 +69,12 @@ class Evaluator:
             )
         total = sum(self.weights)
         if total > DEFAULT_BUDGET:
+            try:
+                str(total)
+            except ValueError:  # past int()'s digit limit, which it words
+                raise ValueError(
+                    "invalid-instance: " + "; ".join(validate_instance(inst).errors)
+                ) from None
             raise BudgetError(
                 f"search-space-too-large: total weight {total} exceeds "
                 f"{DEFAULT_BUDGET}, the size limit of the load table"
@@ -146,15 +153,6 @@ class Evaluator:
     def welfare(self, loads) -> int:
         values = self.values
         return sum(values[j] for j, c in enumerate(loads) if c > 0)
-
-    def deviation_row(self, choices, loads, agent: int) -> list[int]:
-        """Scaled utility of `agent` under each of its strategies, with
-        everyone else fixed; the entry at its current choice is its current
-        utility."""
-        return [
-            self.deviation_scaled(choices, loads, agent, s)
-            for s in range(len(self.spaces[agent]))
-        ]
 
     def join_row(self, loads, agent: int) -> list[int]:
         """Scaled utility of `agent` under each of its strategies when it

@@ -445,6 +445,14 @@ def maxcut_to_cag(graph: CutGraph) -> ReductionOutput:
         raise ValueError("graph must have at least one edge")
     w_bar = max(w for _, _, w in graph.edges)
     n = max(1, (w_bar - 1).bit_length())  # as in edge_gadget_terms
+    # each of the first n primes p not dividing w_bar gets a nonzero term c/p,
+    # which pins (p - 1)(p - 2) |c| dummies: a bound that needs no decomposition
+    least = sum((p - 1) * (p - 2) for p in first_primes(n) if w_bar % p)
+    if least > _MAX_REDUCTION_AGENTS:
+        raise BudgetError(
+            f"search-space-too-large: the reduction needs at least {least} "
+            f"agents, more than {_MAX_REDUCTION_AGENTS}"
+        )
     terms = {w: decompose_fraction(n, w).terms for w in {e[2] for e in graph.edges}}
     # each edge pins d dummies to each node of a pair, for every d its gadget
     # lists; a term c/b lists d = 0, ..., b - 2 |c| times (_expand_unit_fraction),

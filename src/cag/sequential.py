@@ -10,34 +10,31 @@ each rival branch may answer with its adversarial (mover-worst) achievable
 continuation.  Worst-case equilibrium selection exploits ties, so the
 exhaustive set is what price-of-anarchy questions must range over.
 
-`spe_decision` and `spoa` need only utilities and welfare of that set, so
-they run a memoized walk, `_achievable`.  Every mover's utility is a
-function of its own choice and the final loads, and the subgame after the
-t-th real decision is fixed by the loads so far.  The walk therefore
-answers each state once from a table keyed by (t, loads), plus the queried
-agent's choice once that agent has moved, since its utility depends on it.
-An outcome is an interned id of a distinct leaf: its final loads and the
-queried agent's choice.  The last mover's children are single leaves, so
-the walk scores its choices straight from the loads (`Evaluator.join_row`,
-as `equilibria._walk` does for its last choosing agent) and interns only
-the leaves of the tied best ones; every earlier mover scores its own
-utility on each id from the final loads, and deduplication hashes small
-ints.  `spoa` reads the optimum from `Evaluator.optimum`.
+All three entry points run one memoized walk, `_walk`.  A later mover's
+utility depends only on the final loads and its own choice, so the outcomes
+kept after the t-th real decision are fixed by (t, loads), the key of the
+walk's table.  An outcome is an interned id of its final loads and the
+choices of the movers its caller reads, each added by its mover as it
+merges, so a subgame's outcomes never depend on earlier choices.
+`spe_solve` records every choosing mover, to rebuild each profile;
+`spe_decision` records the queried agent unless it moves first (below);
+`spoa` records none.  The last mover's children are single leaves, so the
+walk scores its choices straight from the loads (`Evaluator.join_row`, as
+`equilibria._walk` does for its last choosing agent) and interns only the
+leaves of the kept ones; every earlier mover scores its own utility on each
+id from the final loads.  `spoa` reads the optimum from `Evaluator.optimum`.
 
 When `spe_decision` queries the first choosing mover, the walk tries the
 root's choices in order and stops at the first whose outcomes give that
 mover the threshold.  This is exact: the root keeps every outcome worth at
 least the best value the mover can force, and the mover's best outcome over
 all its choices is always worth that much, so its best at the root is its
-best over all its choices.  For any other queried agent, whose best depends
-on which outcomes the root keeps, the walk runs in full.
+best over all its choices.  If no choice reaches the threshold, no root
+outcome does, so that mover's choice needs no record.
 
-`spe_solve` runs the one plain walk, `_solve`, in either mode; the modes
-differ only in how a mover merges its children.  It reports the root's
-outcomes as profiles.  Both walks place single-strategy movers once, before
-they start, since those movers make no decision.  Every entry point first
-refuses, with `model.check_budget`, a game whose profiles outnumber the
-budget.
+The walk places single-strategy movers once, before it starts, since those
+movers make no decision.  Every entry point first refuses, with
+`model.check_budget`, a game whose profiles outnumber the budget.
 
 Strategy lists themselves are exponentially large and never materialized;
 outcomes are certified through achievable continuation values instead.
@@ -88,77 +85,29 @@ class SpeResult:
     mode: str  # "deterministic" | "exhaustive"
 
 
-def _solve(ev: Evaluator, order, exhaustive: bool):
-    """Plain backward induction over every profile, as (choices, scaled
-    utilities) outcomes.
+def _walk(ev: Evaluator, order, record, exhaustive: bool = True, goal=None):
+    """Backward induction over the choosing movers of `order`, memoized on
+    (depth, loads); returns the root's outcome ids and `finals`, where
+    ``finals[id]`` is an outcome's final loads and the choices, in move
+    order, of its movers in `record`.
 
-    Exhaustive mode keeps every outcome achievable under some tie-breaking;
-    deterministic mode keeps the first child best for the mover, which is
-    lexicographic tie-breaking.
+    Exhaustive mode keeps every outcome achievable under some tie-breaking,
+    deterministic mode the first child best for the mover.  With `goal`, a
+    scaled utility, the root's ids are None once one of its choices has an
+    outcome worth at least `goal` to the first mover.
     """
-    loads, choices, active = ev.preplace(order)
-    spaces, weights = ev.spaces, ev.weights
-    depth = len(active)
-
-    def walk(t: int):
-        if t == depth:
-            return [(tuple(choices), ev.utilities_scaled(choices, loads))]
-        mover = active[t]
-        w = weights[mover]
-        children = []
-        for s, nodes in enumerate(spaces[mover]):
-            choices[mover] = s
-            for j in nodes:
-                loads[j] += w
-            children.append(walk(t + 1))
-            for j in nodes:
-                loads[j] -= w
-        if exhaustive:
-            # The mover can force at least the best adversarial continuation
-            # value, so only outcomes meeting that threshold are achievable.
-            threshold = max(min(u[mover] for _, u in sub) for sub in children)
-            return [o for sub in children for o in sub if o[1][mover] >= threshold]
-        return max(children, key=lambda sub: sub[0][1][mover])
-
-    try:
-        return walk(0)
-    finally:
-        del walk  # the closure refers to itself; free the Evaluator now, not at gc
-
-
-def _achievable(
-    ev: Evaluator, order, agent: int | None = None, goal: int | None = None
-):
-    """Outcomes achievable under some tie-breaking, by memoized backward
-    induction.
-
-    Returns the root's outcome ids and `finals`, where ``finals[id]`` is the
-    leaf's final loads and `agent`'s choice in it (0 without `agent`).  The
-    root's ids stand for the outcomes exhaustive `_solve` returns, with
-    outcomes that agree on both merged into one.
-
-    With `goal`, a scaled utility, and `agent` the first choosing mover, the
-    root stops at its first choice under which some outcome gives `agent`
-    at least `goal`, and returns that choice's outcomes; if no choice does,
-    it returns its usual outcomes.  Either way `agent`'s best among the
-    returned outcomes reaches `goal` iff its best among the root's does.
-    """
-    loads, choices, active = ev.preplace(order)
+    loads, _, active = ev.preplace(order)
     if not active:
-        return (0,), [(tuple(loads), 0)]
+        return (0,), [(tuple(loads), ())]
     spaces, weights, terms, share = ev.spaces, ev.weights, ev.terms, ev.share
     depth = len(active)
-    # from this depth on, the queried agent's choice is part of the state
-    moved = active.index(agent) + 1 if agent in active else depth + 1
-    # the root may stop at its first choice that reaches `goal`
-    root_stops = goal is not None and active[0] == agent
-    ids: dict = {}  # (final loads, queried choice) -> outcome id
-    finals: list = []  # outcome id -> (final loads, queried choice)
-    table: dict = {}  # state -> its achievable outcome ids
+    records = [mover in record for mover in active]
+    ids: dict = {}  # outcome -> its id
+    finals: list = []  # id -> outcome: (final loads, recorded choices)
+    table: dict = {}  # (depth, loads) -> the subgame's outcome ids
 
     def walk(t: int):
-        state = tuple(loads)
-        key = (t, state, choices[agent]) if t >= moved else (t, state)
+        key = (t, tuple(loads))
         merged = table.get(key)
         if merged is not None:
             return merged
@@ -170,24 +119,25 @@ def _achievable(
             # only their leaves.
             scores = ev.join_row(loads, mover)
             best = max(scores)
+            if t == 0 and goal is not None and best >= goal:
+                return None
+            if not exhaustive:
+                del scores[scores.index(best) + 1 :]  # the first best only
             merged = set()
             for s, u in enumerate(scores):
                 if u == best:
                     final = loads[:]
                     for j in spaces[mover][s]:
                         final[j] += w
-                    choices[mover] = s
-                    leaf = (tuple(final), 0 if agent is None else choices[agent])
-                    oid = ids.get(leaf)
-                    if oid is None:
-                        oid = ids[leaf] = len(finals)
+                    leaf = (tuple(final), (s,) if records[t] else ())
+                    oid = ids.setdefault(leaf, len(finals))
+                    if oid == len(finals):
                         finals.append(leaf)
                     merged.add(oid)
             merged = table[key] = tuple(merged)
             return merged
         scored = []  # per choice: (mover's utility, outcome id) pairs
         for s, nodes in enumerate(spaces[mover]):
-            choices[mover] = s
             for j in nodes:
                 loads[j] += w
             sub = walk(t + 1)
@@ -201,14 +151,33 @@ def _achievable(
                 for j, wv in mine:
                     u += wv * share[final[j]]
                 pairs.append((u, oid))
-            if root_stops and t == 0 and max(pairs)[0] >= goal:
-                return sub
+            if t == 0 and goal is not None and max(pairs)[0] >= goal:
+                return None
             scored.append(pairs)
-        # The mover can force at least the best adversarial continuation
-        # value, so only outcomes meeting that threshold are achievable.
-        threshold = max(min(pairs)[0] for pairs in scored)
-        merged = tuple({oid for pairs in scored for u, oid in pairs if u >= threshold})
-        table[key] = merged
+        if exhaustive:
+            # The mover can force at least the best adversarial continuation
+            # value, so only outcomes meeting that threshold are achievable.
+            threshold = max(min(pairs)[0] for pairs in scored)
+        else:
+            # Each child is one outcome.  The children before the first best
+            # one are worth less to the mover, so the threshold drops them.
+            values = [pairs[0][0] for pairs in scored]
+            threshold = max(values)
+            del scored[values.index(threshold) + 1 :]
+        if records[t]:
+            merged = set()
+            for s, pairs in enumerate(scored):
+                for u, oid in pairs:
+                    if u >= threshold:
+                        final, rest = finals[oid]
+                        outcome = (final, (s,) + rest)
+                        new = ids.setdefault(outcome, len(finals))
+                        if new == len(finals):
+                            finals.append(outcome)
+                        merged.add(new)
+        else:
+            merged = {oid for pairs in scored for u, oid in pairs if u >= threshold}
+        merged = table[key] = tuple(merged)
         return merged
 
     try:
@@ -230,9 +199,17 @@ def spe_solve(
         raise ValueError(f"invalid mode {mode!r}")
     check_budget(game.instance, budget)
     ev = Evaluator(game.instance)
+    roots, finals = _walk(ev, game.order, game.order, mode == "exhaustive")
+    active = ev.preplace(game.order)[2]
+    solved = []
+    for loads, recorded in (finals[o] for o in roots):
+        choices = [0] * ev.num_agents
+        for mover, s in zip(active, recorded):
+            choices[mover] = s
+        solved.append((tuple(choices), ev.utilities_scaled(choices, loads)))
     outcomes = tuple(
         SpeOutcome(StrategyProfile(c), tuple(ev.frac(u) for u in utils))
-        for c, utils in sorted(_solve(ev, game.order, mode == "exhaustive"))
+        for c, utils in sorted(solved)
     )
     return SpeResult(outcomes=outcomes, mode=mode)
 
@@ -252,11 +229,15 @@ def spe_decision(
     ev = Evaluator(game.instance)
     # the least scaled utility u with u / den >= threshold
     goal = -(-threshold.numerator * ev.den // threshold.denominator)
-    roots, finals = _achievable(ev, game.order, agent, goal)
+    if agent == next((i for i in game.order if len(ev.spaces[i]) > 1), None):
+        # the root stops at its first choice that gives `agent` the goal; if
+        # none does, no root outcome does
+        return _walk(ev, game.order, (), goal=goal)[0] is None
+    roots, finals = _walk(ev, game.order, (agent,))
     terms, share = ev.terms[agent], ev.share
     best = max(
-        sum(wv * share[loads[j]] for j, wv in terms[choice])
-        for loads, choice in (finals[o] for o in roots)
+        sum(wv * share[loads[j]] for j, wv in terms[recorded[0] if recorded else 0])
+        for loads, recorded in (finals[o] for o in roots)
     )
     return best >= goal
 
@@ -266,6 +247,6 @@ def spoa(game: SequentialGame, budget: int = DEFAULT_BUDGET) -> Fraction:
     outcome under any tie-breaking."""
     check_budget(game.instance, budget)
     ev = Evaluator(game.instance)
-    roots, finals = _achievable(ev, game.order)
+    roots, finals = _walk(ev, game.order, ())
     worst = min(ev.welfare(finals[o][0]) for o in roots)
     return Fraction(ev.optimum()[0], worst)

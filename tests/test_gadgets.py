@@ -37,6 +37,7 @@ from cag import (
     unionize_strategies,
     utility,
 )
+from cag import gadgets
 from cag.gadgets import first_primes
 
 
@@ -179,6 +180,19 @@ def test_maxcut_refuses_graphs_needing_too_many_agents():
     # one edge of weight 2^24 needs 1,819,248 agents; none is built
     with pytest.raises(BudgetError, match="^search-space-too-large: .*1819248"):
         maxcut_to_cag(CutGraph(2, ((0, 1, 2**24),)))
+
+
+def test_maxcut_refuses_a_huge_weight_before_decomposing_it(monkeypatch):
+    """The first primes that do not divide the weight bound the agent count
+    from below, so a weight of thousands of digits is refused without the
+    decomposition, which would take seconds."""
+
+    def decompose(n, w):
+        raise AssertionError("decomposed before refusing")
+
+    monkeypatch.setattr(gadgets, "decompose_fraction", decompose)
+    with pytest.raises(BudgetError, match="^search-space-too-large: .* at least "):
+        maxcut_to_cag(CutGraph(2, ((0, 1, 10**4000 + 1),)))
 
 
 def test_cut_from_profile_conventions():

@@ -376,3 +376,18 @@ def test_evaluator_refuses_total_weight_above_budget():
     )
     with pytest.raises(BudgetError, match="^search-space-too-large: "):
         Evaluator(inst)
+
+
+def test_library_refuses_a_total_weight_past_the_digit_limit_in_its_own_words():
+    """The budget refusal would print the total weight, which `int()` cannot
+    write past the digit limit; `validate_instance` words the refusal."""
+    limit = sys.get_int_max_str_digits()
+    w = 10**limit - 1
+    inst = Instance.build(
+        [("q1", 1), ("q2", 1)], [("a1", w, [[0], [1]]), ("a2", w, [[0, 1]])]
+    )
+    with pytest.raises(ValueError) as refused:
+        analyze(inst)
+    assert str(refused.value) == (
+        f"invalid-instance: agent weights: total exceeds the limit of {limit} digits"
+    )

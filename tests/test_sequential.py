@@ -267,6 +267,10 @@ FIRST_MOVER_BEST_SECOND = _game([1, 3], [[(0,), (1,)], [(0,), (1,)]])
 # (a1 9, a2 5).  The root keeps only the second, so the queried later mover
 # a2's highest utility, 10, lies in an outcome the root threshold drops.
 LATER_MOVER_BEST_DROPPED = _game([6, 4, 10, 1], [[(0,), (1, 2)], [(2,), (3,)]])
+# a1 on (q1, q2), and a1 on q2 then a2 on q1, both load each node once: two
+# states one decision apart with equal loads, which only the depth in the
+# memo key tells apart.
+DEPTHS_SHARE_LOADS = _game([1, 1], [[(1,), (0, 1)], [(1,), (0,)], [(1,), (0,)]])
 
 
 def brute_force_optimum(inst: Instance) -> int:
@@ -286,6 +290,7 @@ def brute_force_optimum(inst: Instance) -> int:
 @example(OPT_OFF_PATH)
 @example(FIRST_MOVER_BEST_SECOND)
 @example(LATER_MOVER_BEST_DROPPED)
+@example(DEPTHS_SHARE_LOADS)
 def test_memoized_walk_matches_exhaustive_reference(game):
     """spoa and spe_decision against `Fraction` backward induction and a
     plain optimum scan, with every agent queried: singleton-space agents and
@@ -341,13 +346,28 @@ def _pairs(outcomes):
 @settings(max_examples=200, deadline=None)
 @given(colliding_games())
 @example(SWAPPED_CHOICES)
-def test_plain_walk_matches_fraction_backward_induction(game):
+@example(DEPTHS_SHARE_LOADS)
+def test_spe_solve_matches_fraction_backward_induction(game):
     """spe_solve's root outcomes in both modes against the oracle."""
     achievable, first = fraction_backward_induction(game)
     exhaustive = spe_solve(game, mode="exhaustive")
     assert _pairs(exhaustive.outcomes) == achievable
     deterministic = spe_solve(game, mode="deterministic")
     assert _pairs(deterministic.outcomes) == [first]
+
+
+def test_spe_solve_on_a_family_game_of_seven_agents():
+    """823,543 profiles, which the memo table answers from far fewer
+    (depth, loads) states: the exhaustive set's worst welfare gives the
+    sequential price of anarchy, and the deterministic outcome is one of its
+    members."""
+    game = build_named_instance("spoa-family", m=7)
+    exhaustive = spe_solve(game, mode="exhaustive")
+    worst = min(sum(o.utilities) for o in exhaustive.outcomes)
+    opt, _ = optimal_social_welfare(game.instance)
+    assert Fraction(opt, worst) == spoa(game) == Fraction(13, 7)
+    (deterministic,) = spe_solve(game, mode="deterministic").outcomes
+    assert deterministic in exhaustive.outcomes
 
 
 def test_calls_leave_no_cyclic_garbage():
