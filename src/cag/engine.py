@@ -13,7 +13,9 @@ boundary.
 
 The engine also owns the welfare optimum, `optimum`: one pass over
 covered-node bitmasks, whose layers hold no more masks than
-`equilibria._walk` has orbit representatives at the same depth.
+`equilibria._walk` has orbit representatives at the same depth.  It also
+owns the strategies that walk visits, `live`: what iterated strict
+dominance leaves, scored with `share` at best- and worst-case loads.
 
 The engine is read-only after construction and safe to share.
 """
@@ -187,6 +189,66 @@ class Evaluator:
                 for j in self.spaces[i][0]:
                     loads[j] += w
         return loads, [0] * self.num_agents, active
+
+    def live(self, classes) -> list[list[int]]:
+        """Each agent's live strategies, ascending: its space after iterated
+        strict dominance, scored with `share`.
+
+        For agent i of weight w, the best case of a live strategy s is
+        the sum over j in s of w * v_j * share[F_j + w], where F_j weighs
+        the other agents whose every live strategy holds j; the worst case
+        uses M_j + w instead, where M_j weighs the other agents with some
+        live strategy through j.  Both loads are subset sums of j's
+        attractors, so `share` is nonzero at both.  s is dropped when the
+        worst case of some live strategy of i strictly exceeds the best
+        case of s: then every live profile of the others pays i more
+        there, so s is never a best response.  Rounds repeat until nothing
+        is dropped.  `classes` lists interchangeable agents; each class is
+        scored once per round, through its first member, so members keep
+        equal lists."""
+        weights, share, terms = self.weights, self.share, self.terms
+        sets = self.space_sets
+        live = [list(range(len(space))) for space in self.spaces]
+        changed = True
+        while changed:
+            changed = False
+            # held_all[j], held_any[j]: the weight of the agents whose every,
+            # or some, live strategy holds j
+            held_all = [0] * self.num_nodes
+            held_any = [0] * self.num_nodes
+            every = []
+            for i, w in enumerate(weights):
+                mine = [sets[i][c] for c in live[i]]
+                every.append(frozenset.intersection(*mine))
+                for j in every[i]:
+                    held_all[j] += w
+                for j in frozenset.union(*mine):
+                    held_any[j] += w
+            for members in classes:
+                i = members[0]
+                if len(live[i]) == 1:
+                    continue
+                w, own = weights[i], every[i]
+                worst = 0
+                for t in live[i]:
+                    u = 0
+                    for j, wv in terms[i][t]:
+                        u += wv * share[held_any[j]]
+                    if u > worst:
+                        worst = u
+                # held_all already counts i at the nodes of `own`
+                keep = []
+                for s in live[i]:
+                    u = 0
+                    for j, wv in terms[i][s]:
+                        u += wv * share[held_all[j] if j in own else held_all[j] + w]
+                    if u >= worst:
+                        keep.append(s)
+                if len(keep) < len(live[i]):
+                    changed = True
+                    for k in members:
+                        live[k] = keep
+        return live
 
     def optimum(self) -> tuple[int, tuple[int, ...]]:
         """The optimal welfare and its lexicographically-first witness.

@@ -15,6 +15,23 @@ smallest.  Each equilibrium representative expands to its whole orbit, and
 the expanded list is sorted; reports are the same as a full scan of the
 profile space would give, and `profiles_scanned` is the size of that space.
 
+The walk visits only live strategies, those left by iterated strict
+dominance (`Evaluator.live`).  An agent's strategy s is dropped when some
+other live strategy t pays it more even at t's worst (every other agent
+that has a live strategy through a node of t is there) than s pays at its
+best (only the other agents whose every live strategy holds the node are
+there); both sides count the agent's own weight.  Then s is no best
+response to any live profile of the others, so no equilibrium plays it.
+Dropping strictly dominated strategies keeps the set of pure Nash
+equilibria, and the order of elimination does not change the result
+(Knuth, Papadimitriou & Tsitsiklis, Oper. Res. Lett. 7, 1988; Gilboa,
+Kalai & Zemel, Math. Oper. Res. 18, 1993).  The leaf test still checks
+every strategy, the optimum is taken over the full spaces, and choices
+keep their original indices.  The sequential walk (`sequential`) is not
+pruned: a subgame off the equilibrium path may hold an eliminated earlier
+choice, and an agent's best reply there need not be live, so that pruning
+would need its own proof.
+
 Only the last choosing agent's best responses are placed.  Once every other
 agent is placed, that agent's utility under each of its strategies is fixed
 by the loads, so the walk scores its whole strategy list once
@@ -97,25 +114,29 @@ def _walk(ev: Evaluator, top: range | None = None, first_pne: bool = False):
     """Depth-first walk over one representative profile per orbit.
 
     Agents with a single strategy are placed first; the others are placed
-    in index order, adding to loads as they go.  An agent's choices start at
-    the choice of the previous member of its class, so each class takes
-    non-decreasing choices: the walk visits exactly the lexicographically
-    smallest profile of every orbit, in lexicographic order.  `top`
-    restricts the first choosing agent's choices (one worker's share);
+    in index order, adding to loads as they go, each over its live
+    strategies.  Members of a class keep equal live lists, and an agent's
+    choices start at the choice of the previous member of its class, so
+    each class takes non-decreasing choices: the walk visits exactly the
+    lexicographically smallest live profile of every orbit, in
+    lexicographic order.  `top` restricts the first choosing agent's
+    choices (one worker's share) to those of its live choices it holds;
     `first_pne` stops at the first equilibrium.
 
     With every other agent placed, the last choosing agent's utilities are
-    scored once, over all of its strategies even where twins or `top` limit
-    the choices visited, and only the choices attaining the maximum are
-    placed and tested for equilibrium.
+    scored once, over all of its strategies even where dominance, twins or
+    `top` limit the choices visited, and only the choices attaining the
+    maximum are placed and tested for equilibrium.
 
     Returns the equilibrium representatives as (choices, welfare) pairs.
     """
     spaces, weights = ev.spaces, ev.weights
+    classes = _classes(ev.instance)
     twin = [-1] * ev.num_agents  # previous member of the agent's class, or -1
-    for members in _classes(ev.instance):
+    for members in classes:
         for prev, i in zip(members, members[1:]):
             twin[i] = prev
+    live = ev.live(classes)
     loads, choices, active = ev.preplace(range(ev.num_agents))
     depth = len(active)
     is_pne = ev.is_approx_pne
@@ -131,10 +152,11 @@ def _walk(ev: Evaluator, top: range | None = None, first_pne: bool = False):
         i = active[t]
         w = weights[i]
         space = spaces[i]
+        options = live[i]
         if t == 0 and top is not None:
-            options = top
-        else:
-            options = range(choices[twin[i]] if twin[i] >= 0 else 0, len(space))
+            options = [c for c in options if c in top]
+        elif twin[i] >= 0:
+            options = options[options.index(choices[twin[i]]):]
         if t == depth - 1:
             # Everyone else is placed, so these are i's exact utilities at
             # every leaf below, over all its strategies, not only `options`;

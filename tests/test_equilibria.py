@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import itertools
 import os
 import subprocess
@@ -7,9 +8,10 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cag import (
+    GENERATOR_KINDS,
     BudgetError,
     Instance,
     StrategyProfile,
@@ -23,8 +25,9 @@ from cag import (
     social_welfare,
     utility,
 )
+from cag import io
 from cag.engine import Evaluator
-from cag.equilibria import EquilibriumReport, _worker_count
+from cag.equilibria import EquilibriumReport, _classes, _worker_count
 
 from conftest import src_env
 
@@ -196,6 +199,26 @@ TWIN_LAST_AGENT = Instance.build(
     [("a1", 1, [[0], [1]]), ("a2", 1, [[0], [1]])],
 )
 
+# Dominance needs two rounds whichever agent is scored first: a2 keeps only
+# q3 (4 > 2 alone on q1), and only then is q1 worth more to a1 than q2
+# (2 > 1); while a2 may reach q1, a1's worst case there is 2/2, no more
+# than q2's best case.
+TWO_ROUNDS = Instance.build(
+    [("q1", 2), ("q2", 1), ("q3", 4)],
+    [("a1", 1, [[1], [0]]), ("a2", 1, [[2], [0]])],
+)
+TWO_ROUNDS_MIRRORED = Instance.build(
+    [("q1", 2), ("q2", 1), ("q3", 4)],
+    [("a1", 1, [[2], [0]]), ("a2", 1, [[1], [0]])],
+)
+# a1's worst case on q2 shares it with a2: 3/2 < 2, so a1 keeps q1; left
+# out of the worst-case load, a1's own weight would make it 3 and drop q1,
+# the equilibrium's choice.
+OWN_WEIGHT = Instance.build(
+    [("q1", 2), ("q2", 3), ("q3", 1)],
+    [("a1", 1, [[0], [1]]), ("a2", 1, [[1], [2]])],
+)
+
 
 def brute_force_report(inst):
     """The report from a plain product scan in exact fractions."""
@@ -233,6 +256,9 @@ def brute_force_report(inst):
 )
 @example(TIED_LAST_AGENT)
 @example(TWIN_LAST_AGENT)
+@example(TWO_ROUNDS)
+@example(TWO_ROUNDS_MIRRORED)
+@example(OWN_WEIGHT)
 def test_kernel_matches_brute_force(inst):
     expected = brute_force_report(inst)
     assert analyze(inst) == expected
@@ -240,13 +266,47 @@ def test_kernel_matches_brute_force(inst):
     assert optimal_social_welfare(inst) == (expected.opt_welfare, expected.opt_profile)
 
 
+def live_strategies(inst):
+    """Each agent's strategies left by iterated strict dominance, in exact
+    fractions: s goes when some live t pays the agent more with every other
+    agent that can reach t's nodes on them than s pays with only the others
+    that cannot avoid s's nodes.  Rounds see the lists of the round before
+    and repeat until nothing goes."""
+    agents, values = inst.agents, [n.value for n in inst.nodes]
+    live = [list(range(len(a.strategies))) for a in agents]
+    while True:
+        new = []
+        for i, agent in enumerate(agents):
+            def load(j, quantifier):
+                """The agent's weight plus that of every other agent whose
+                live strategies all (or any) hold node j."""
+                return agent.weight + sum(
+                    other.weight
+                    for k, other in enumerate(agents)
+                    if k != i and quantifier(j in other.strategies[c] for c in live[k])
+                )
+
+            def case(s, quantifier):
+                return sum(
+                    Fraction(agent.weight * values[j], load(j, quantifier))
+                    for j in agent.strategies[s]
+                )
+
+            worst = max(case(t, any) for t in live[i])
+            new.append([s for s in live[i] if case(s, all) >= worst])
+        if new == live:
+            return live
+        live = new
+
+
 def representatives(inst):
-    """The profiles the walk visits, in its order: every class of
-    interchangeable agents takes non-decreasing choices."""
+    """The profiles the walk visits, in its order: each agent takes its live
+    strategies, and every class of interchangeable agents takes
+    non-decreasing choices."""
     classes: dict = {}
     for i, a in enumerate(inst.agents):
         classes.setdefault((a.weight, a.strategies), []).append(i)
-    for choices in itertools.product(*(range(len(a.strategies)) for a in inst.agents)):
+    for choices in itertools.product(*live_strategies(inst)):
         if all(
             choices[i] <= choices[k]
             for members in classes.values()
@@ -290,10 +350,62 @@ def profiles_tested_by(call):
 @given(games_with_twins())
 @example(TIED_LAST_AGENT)
 @example(TWIN_LAST_AGENT)
+@example(TWO_ROUNDS)
+@example(TWO_ROUNDS_MIRRORED)
+@example(OWN_WEIGHT)
 def test_equilibrium_tests_only_best_response_leaves(inst):
     """`analyze` tests exactly the visited leaves where the last choosing
     agent attains its best utility over all its strategies."""
     assert profiles_tested_by(lambda: analyze(inst)) == list(best_response_leaves(inst))
+
+
+@pytest.mark.parametrize(
+    "inst, live",
+    [
+        (TWO_ROUNDS, [[1], [0]]),
+        (TWO_ROUNDS_MIRRORED, [[0], [1]]),
+        (OWN_WEIGHT, [[0], [0]]),
+    ],
+    ids=["two-rounds", "two-rounds-mirrored", "own-weight"],
+)
+def test_live_strategies_examples(inst, live):
+    assert live_strategies(inst) == live
+    assert Evaluator(inst).live(_classes(inst)) == live
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(GENERATOR_KINDS),
+    st.integers(0, 2**31 - 1),
+    st.integers(1, 5),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(1, 1000),
+)
+def test_pruned_walk_matches_brute_force_on_every_kind(
+    kind, seed, nodes, agents, strategies, max_weight
+):
+    try:
+        inst = gen_random(kind, seed, num_nodes=nodes, num_agents=agents,
+                          num_strategies=strategies, max_weight=max_weight)
+    except ValueError as err:
+        # an s- or fully asymmetric draw whose spaces cannot be made to differ
+        assume("too small" not in str(err))
+        raise
+    expected = brute_force_report(inst)
+    assert analyze(inst) == expected
+    assert pne_exists(inst) == bool(expected.pne)
+
+
+def test_pruned_walk_guard_row():
+    """Dominance leaves 512 of this row's 1,679,616 profiles; the report is
+    the full scan's, pinned, and at most 256 leaves are tested."""
+    inst = gen_random("asymmetric", 1, num_nodes=10, num_agents=8, num_strategies=6)
+    reports = []
+    tested = profiles_tested_by(lambda: reports.append(analyze(inst)))
+    text = io.dumps_report(reports[0])
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == "93e519ebb8425267"
+    assert len(tested) <= 256
 
 
 def test_pne_exists_stops_at_a_later_tied_best_leaf():
