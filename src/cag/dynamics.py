@@ -9,16 +9,33 @@ Two modes are provided:
   which exceeds ``epsilon / m``, so the run converges within
   ``ceil(total_value * H(m) * m / epsilon)`` steps.
 
-  The run keeps a table ``U[i][s]``: agent i's scaled utility if it plays
-  s while the others stay fixed, so ``U[i][choices[i]]`` is its current
-  utility and each step is read off the rows.  One move changes the load
-  of only the nodes in ``S_old ^ S_new``, each by one, so after a move
-  only the entries of other agents' strategies through those nodes change,
-  by ``v_j * (share[c' + x] - share[c + x])`` with ``x = 1`` iff node j is
-  outside that agent's current strategy.  The mover's own row stays as it
-  is: each entry counts the others' load plus the mover once, whatever the
-  mover plays.  So the rows are scored once per run, and a step costs the
-  entries through the moved nodes plus a max over each row.
+  The run keeps one flat table of ints: agent i's row is
+  ``table[offset[i]:offset[i + 1]]``, and its entry at s is i's scaled
+  utility if it plays s while the others stay fixed, so the entry at i's
+  current choice is its current utility and each step is read off the
+  rows.  With unit weights that entry is the sum over j in s of
+  ``v_j * share[L_j - h + 1]``, where L_j is node j's load and h is 1 iff
+  i's current strategy holds j.  One move changes the load of only the
+  nodes in ``S_old ^ S_new``, each by one, from c to c'.  At such a node:
+
+  - every entry through it gains ``off = v_j * (share[c' + 1] - share[c + 1])``,
+    the change for an agent off the node;
+  - the entries of the node's holders, the agents whose current strategy
+    holds it, gain ``on - off`` more, with ``on = v_j * (share[c'] -
+    share[c])``; the mover is no holder here, leaving or arriving;
+  - the mover's own entries lose ``off`` again: each counts the others'
+    load plus the mover once, whatever the mover plays, so its row does
+    not change.
+
+  Each entry thus gets exactly its own delta, with no per-agent test.
+  Where every potential attractor of a node is on it, ``c + 1`` or
+  ``c' + 1`` counts one agent more than can ever be there, and may be one
+  past the end of ``share``; a trailing 0 makes ``off`` formable there.
+  Whatever ``off`` is then, no agent is off the node, so every entry that
+  gets it gets it back.  The table is built once per run, with its index:
+  per node the flat indices through it and its holders, per agent and
+  node the agent's own indices.  A step costs integer adds over the moved
+  nodes' entries plus a max over each row.
 
 * ``alpha``: for weighted instances.  While some agent can multiply its
   utility by more than ``alpha``, the first such deviation in lexicographic
@@ -167,10 +184,11 @@ def run_dynamics(
     if cfg.mode == "epsilon":
         # improvement test: dev * q > cur * (q + p)  <=>  dev > (1+eps) cur
         p, q = cfg.epsilon.numerator, cfg.epsilon.denominator
-        table = [_deviation_row(ev, choices, loads, i) for i in range(ev.num_agents)]
-        select = partial(_max_row_gain, table, choices, p, q)
+        table, offset, through, holders, mine = _unit_table(ev, choices, loads)
+        select = partial(_max_row_gain, table, offset, choices, p, q)
         move = partial(
-            _move_unit, ev, choices, loads, table, _watchers(ev), ev.share + [0]
+            _move_unit, ev, choices, loads, table, through, holders, mine,
+            ev.share + [0],
         )
     else:
         alpha = Fraction(cfg.alpha)
@@ -209,46 +227,82 @@ def _move(ev: Evaluator, choices, loads, agent: int, new_choice: int) -> None:
         loads[j] += w
 
 
-def _watchers(ev: Evaluator):
-    """Per node: (agent, indices of that agent's strategies through it)."""
-    by_node = [{} for _ in range(ev.num_nodes)]
+def _unit_table(ev: Evaluator, choices, loads):
+    """The epsilon run's flat table and its index, for unit weights.
+
+    Returns ``(table, offset, through, holders, mine)``: agent i's row is
+    ``table[offset[i]:offset[i + 1]]``, its entry at s the agent's scaled
+    utility at s with the others fixed; ``through[j]`` holds the flat
+    index of every strategy through node j, ``holders[j]`` the agents
+    whose current strategy holds j, and ``mine[i][j]`` agent i's flat
+    indices through j.  `loads` is lowered by each agent's own load while
+    its row is scored, and restored."""
+    values, share = ev.values, ev.share
+    table = []
+    offset = [0]
+    through = [[] for _ in range(ev.num_nodes)]
+    holders = [set() for _ in range(ev.num_nodes)]
+    mine = []
     for i, space in enumerate(ev.spaces):
-        for s, nodes in enumerate(space):
+        current = space[choices[i]]
+        for j in current:
+            holders[j].add(i)
+            loads[j] -= 1
+        own = {}
+        for nodes in space:
+            k = len(table)
+            u = 0
             for j in nodes:
-                by_node[j].setdefault(i, []).append(s)
-    return [list(agents.items()) for agents in by_node]
+                u += values[j] * share[loads[j] + 1]
+                own.setdefault(j, []).append(k)
+            table.append(u)
+        for j in current:
+            loads[j] += 1
+        for j, ks in own.items():
+            through[j] += ks
+        offset.append(len(table))
+        mine.append(own)
+    return table, offset, through, holders, mine
 
 
 def _move_unit(
-    ev: Evaluator, choices, loads, table, watchers, share, agent: int, new_choice: int
+    ev: Evaluator, choices, loads, table, through, holders, mine, share,
+    agent: int, new_choice: int,
 ) -> None:
-    """Move a unit-weight agent, keeping every row of `table` exact.
+    """Move a unit-weight agent, keeping every entry of `table` exact.
 
-    `share` is ``ev.share`` with one trailing 0, so the off-node delta can
-    be formed even at a node every potential attractor is on; it is used
-    only by an agent off the node, and then the load it reads is reachable.
-    """
+    At a node whose load goes from c to c', an agent off the node gains
+    `off` at each strategy through it, a holder `on`, and the mover
+    nothing.  `share` is ``ev.share`` with one trailing 0, so `off` can be
+    formed even at a node every potential attractor is on; no agent is off
+    such a node, so the corrections cancel it."""
     sets, values = ev.space_sets, ev.values
     old_nodes = sets[agent][choices[agent]]
+    own = mine[agent]
     for j in old_nodes ^ sets[agent][new_choice]:
         c = loads[j]
-        after = c - 1 if j in old_nodes else c + 1
+        leaves = j in old_nodes
+        after = c - 1 if leaves else c + 1
         loads[j] = after
         v = values[j]
-        # an agent off node j would add itself to the node's load
-        on = v * (share[after] - share[c])
         off = v * (share[after + 1] - share[c + 1])
-        for i, strategies in watchers[j]:
-            if i == agent:
-                continue  # the mover's row does not depend on where it plays
-            delta = on if j in sets[i][choices[i]] else off
-            row = table[i]
-            for s in strategies:
-                row[s] += delta
+        fix = v * (share[after] - share[c]) - off
+        for k in through[j]:
+            table[k] += off
+        held = holders[j]
+        if leaves:
+            held.discard(agent)
+        for h in held:
+            for k in mine[h][j]:
+                table[k] += fix
+        if not leaves:
+            held.add(agent)
+        for k in own[j]:
+            table[k] -= off
     choices[agent] = new_choice
 
 
-def _max_row_gain(table, choices, p: int, q: int):
+def _max_row_gain(table, offset, choices, p: int, q: int):
     """Globally maximal-gain deviation, or None once the profile is a
     (1 + p/q)-approximate equilibrium.  Ties break on (agent, strategy):
     an improving deviation has positive gain, so the current choice, worth
@@ -256,15 +310,16 @@ def _max_row_gain(table, choices, p: int, q: int):
     best_gain = 0
     best = None
     improvable = False
-    for i, row in enumerate(table):
-        top = max(row)
-        current = row[choices[i]]
+    for i, choice in enumerate(choices):
+        a, b = offset[i], offset[i + 1]
+        top = max(table[a:b])
+        current = table[a + choice]
         if top > current:
             if top * q > current * (q + p):
                 improvable = True
             if top - current > best_gain:
                 best_gain = top - current
-                best = (i, row.index(top), best_gain)
+                best = (i, table.index(top, a, b) - a, best_gain)
     if not improvable:
         return None
     return best

@@ -11,6 +11,13 @@ is ``lcm(1..m)``; with weights it stays small where ``lcm(1..total weight)``
 would grow exponentially.  `Fraction` values are recovered at the API
 boundary.
 
+An agent's scaled utility at a strategy is w * sum of v_j * share[load_j]
+over the strategy's nodes.  Every scoring loop forms the sum from
+`values` and `share` alone and multiplies it by the weight once, which is
+exact because w * (a + b) = w * a + w * b; no per-strategy table of
+weighted terms is kept.  `live` only compares scores of one agent, so it
+leaves the weight out.
+
 The engine also owns the welfare optimum, `optimum`: one pass over
 covered-node bitmasks, whose layers hold no more masks than
 `equilibria._walk` has orbit representatives at the same depth.  It also
@@ -103,12 +110,6 @@ class Evaluator:
         self.share = [0] * len(bits)
         for c in reachable:
             self.share[c] = self.den // c
-        # per (agent, strategy): (node, weight * value) pairs for fast sums
-        values = self.values
-        self.terms = [
-            [tuple([(j, w * values[j]) for j in s]) for s in space]
-            for w, space in zip(self.weights, self.spaces)
-        ]
 
     def frac(self, scaled: int) -> Fraction:
         """Convert a scaled integer back to an exact rational."""
@@ -123,21 +124,20 @@ class Evaluator:
         return loads
 
     def utility_scaled(self, choices, loads, agent: int) -> int:
-        share = self.share
+        values, share = self.values, self.share
         total = 0
-        for j, wv in self.terms[agent][choices[agent]]:
-            total += wv * share[loads[j]]
-        return total
+        for j in self.spaces[agent][choices[agent]]:
+            total += values[j] * share[loads[j]]
+        return self.weights[agent] * total
 
     def utilities_scaled(self, choices, loads) -> tuple[int, ...]:
-        share = self.share
-        terms = self.terms
+        values, share = self.values, self.share
         out = []
-        for i in range(self.num_agents):
+        for w, space, choice in zip(self.weights, self.spaces, choices):
             total = 0
-            for j, wv in terms[i][choices[i]]:
-                total += wv * share[loads[j]]
-            out.append(total)
+            for j in space[choice]:
+                total += values[j] * share[loads[j]]
+            out.append(w * total)
         return tuple(out)
 
     def deviation_scaled(self, choices, loads, agent: int, new_choice: int) -> int:
@@ -145,12 +145,12 @@ class Evaluator:
         `new_choice`, with everyone else fixed."""
         w = self.weights[agent]
         current = self.space_sets[agent][choices[agent]]
-        share = self.share
+        values, share = self.values, self.share
         total = 0
-        for j, wv in self.terms[agent][new_choice]:
+        for j in self.spaces[agent][new_choice]:
             c = loads[j] if j in current else loads[j] + w
-            total += wv * share[c]
-        return total
+            total += values[j] * share[c]
+        return w * total
 
     def welfare(self, loads) -> int:
         values = self.values
@@ -164,13 +164,13 @@ class Evaluator:
         utility there, so its best responses are the entries equal to the
         row's maximum."""
         w = self.weights[agent]
-        share = self.share
+        values, share = self.values, self.share
         row = []
-        for mine in self.terms[agent]:
+        for nodes in self.spaces[agent]:
             u = 0
-            for j, wv in mine:
-                u += wv * share[loads[j] + w]
-            row.append(u)
+            for j in nodes:
+                u += values[j] * share[loads[j] + w]
+            row.append(w * u)
         return row
 
     def preplace(self, order):
@@ -206,8 +206,8 @@ class Evaluator:
         is dropped.  `classes` lists interchangeable agents; each class is
         scored once per round, through its first member, so members keep
         equal lists."""
-        weights, share, terms = self.weights, self.share, self.terms
-        sets = self.space_sets
+        weights, values, share = self.weights, self.values, self.share
+        spaces, sets = self.spaces, self.space_sets
         live = [list(range(len(space))) for space in self.spaces]
         changed = True
         while changed:
@@ -229,19 +229,21 @@ class Evaluator:
                 if len(live[i]) == 1:
                     continue
                 w, own = weights[i], every[i]
+                # both cases leave out the factor w > 0, which keeps the order
                 worst = 0
                 for t in live[i]:
                     u = 0
-                    for j, wv in terms[i][t]:
-                        u += wv * share[held_any[j]]
+                    for j in spaces[i][t]:
+                        u += values[j] * share[held_any[j]]
                     if u > worst:
                         worst = u
                 # held_all already counts i at the nodes of `own`
                 keep = []
                 for s in live[i]:
                     u = 0
-                    for j, wv in terms[i][s]:
-                        u += wv * share[held_all[j] if j in own else held_all[j] + w]
+                    for j in spaces[i][s]:
+                        c = held_all[j] if j in own else held_all[j] + w
+                        u += values[j] * share[c]
                     if u >= worst:
                         keep.append(s)
                 if len(keep) < len(live[i]):

@@ -4,7 +4,8 @@ command line.
 The seed fully determines the instance.  Each kind guarantees the symmetry
 flags its name advertises: degenerate draws (all-unit weights for a
 weighted kind, identical spaces for a space-asymmetric kind) are adjusted
-deterministically.
+deterministically.  The one exception is a single agent, whose space has no
+other to differ from.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ def _random_space(rng, num_nodes, num_strategies, max_size):
 
 
 def _force_distinct_spaces(spaces, num_nodes):
-    """Make agent 0's space differ from the rest as a set, if needed."""
-    if len({frozenset(space) for space in spaces}) > 1:
+    """Make agent 0's space differ from the rest as a set, if needed.  A
+    single space has nothing to differ from and is returned as drawn."""
+    if len(spaces) == 1 or len({frozenset(space) for space in spaces}) > 1:
         return spaces
     for extra in (
         tuple(range(num_nodes)),
@@ -57,7 +59,9 @@ def gen_random(
 
     Kinds: ``symmetric`` (shared space, unit weights, unit values),
     ``s-asymmetric`` (per-agent spaces), ``w-asymmetric`` (weighted agents),
-    ``asymmetric`` (all three components asymmetric).
+    ``asymmetric`` (all three components asymmetric).  A single agent
+    cannot have asymmetric spaces: with ``num_agents=1`` the space-asymmetric
+    kinds draw its ``num_strategies`` strategies like any other.
     """
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown instance kind {kind!r}")

@@ -99,7 +99,7 @@ def _walk(ev: Evaluator, order, record, exhaustive: bool = True, goal=None):
     loads, _, active = ev.preplace(order)
     if not active:
         return (0,), [(tuple(loads), ())]
-    spaces, weights, terms, share = ev.spaces, ev.weights, ev.terms, ev.share
+    spaces, weights, values, share = ev.spaces, ev.weights, ev.values, ev.share
     depth = len(active)
     records = [mover in record for mover in active]
     ids: dict = {}  # outcome -> its id
@@ -143,14 +143,13 @@ def _walk(ev: Evaluator, order, record, exhaustive: bool = True, goal=None):
             sub = walk(t + 1)
             for j in nodes:
                 loads[j] -= w
-            mine = terms[mover][s]
             pairs = []
             for oid in sub:
                 final = finals[oid][0]
                 u = 0
-                for j, wv in mine:
-                    u += wv * share[final[j]]
-                pairs.append((u, oid))
+                for j in nodes:
+                    u += values[j] * share[final[j]]
+                pairs.append((w * u, oid))
             if t == 0 and goal is not None and max(pairs)[0] >= goal:
                 return None
             scored.append(pairs)
@@ -161,9 +160,9 @@ def _walk(ev: Evaluator, order, record, exhaustive: bool = True, goal=None):
         else:
             # Each child is one outcome.  The children before the first best
             # one are worth less to the mover, so the threshold drops them.
-            values = [pairs[0][0] for pairs in scored]
-            threshold = max(values)
-            del scored[values.index(threshold) + 1 :]
+            firsts = [pairs[0][0] for pairs in scored]
+            threshold = max(firsts)
+            del scored[firsts.index(threshold) + 1 :]
         if records[t]:
             merged = set()
             for s, pairs in enumerate(scored):
@@ -234,12 +233,12 @@ def spe_decision(
         # none does, no root outcome does
         return _walk(ev, game.order, (), goal=goal)[0] is None
     roots, finals = _walk(ev, game.order, (agent,))
-    terms, share = ev.terms[agent], ev.share
+    space, values, share = ev.spaces[agent], ev.values, ev.share
     best = max(
-        sum(wv * share[loads[j]] for j, wv in terms[recorded[0] if recorded else 0])
+        sum(values[j] * share[loads[j]] for j in space[recorded[0] if recorded else 0])
         for loads, recorded in (finals[o] for o in roots)
     )
-    return best >= goal
+    return ev.weights[agent] * best >= goal
 
 
 def spoa(game: SequentialGame, budget: int = DEFAULT_BUDGET) -> Fraction:

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cag import (
@@ -19,7 +19,15 @@ from cag import (
     run_dynamics,
     utility,
 )
-from cag.dynamics import DynamicsStep, DynamicsTrace, epsilon_step_bound
+from cag.dynamics import (
+    DynamicsStep,
+    DynamicsTrace,
+    _deviation_row,
+    _move_unit,
+    _unit_table,
+    epsilon_step_bound,
+)
+from cag.engine import Evaluator
 from cag.potentials import rosenthal_potential
 
 
@@ -309,6 +317,41 @@ def test_epsilon_trace_matches_fraction_reference(game, eps, max_steps):
     assert run_dynamics(inst, start, cfg) == _reference_epsilon_trace(
         inst, start, eps, max_steps
     )
+
+
+# a1 leaves q1 while every attractor of q1 is on it, so the outsider's term
+# there reads the load one past the table, then comes back
+TRAILING_ZERO = (
+    Instance.build([("q1", 1), ("q2", 1)], [("a1", 1, [[0], [1]]), ("a2", 1, [[0]])]),
+    StrategyProfile((0, 0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    overlapping_unit_games(),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 4)), max_size=12),
+)
+@example(game=TRAILING_ZERO, moves=[(0, 1), (0, 0)])
+def test_epsilon_table_stays_exact_under_any_move(game, moves):
+    """Every entry of the epsilon run's table equals a fresh deviation row
+    after each move, improving or not: an entry that is wrong but never a
+    row's maximum would leave every trace intact."""
+    inst, start = game
+    ev = Evaluator(inst)
+    choices = list(start.choices)
+    loads = ev.loads(choices)
+    table, offset, through, holders, mine = _unit_table(ev, choices, loads)
+    share = ev.share + [0]
+    for agent, strategy in moves:
+        agent %= inst.num_agents
+        strategy %= len(ev.spaces[agent])
+        _move_unit(ev, choices, loads, table, through, holders, mine, share,
+                   agent, strategy)
+        assert loads == ev.loads(choices)
+        for i in range(inst.num_agents):
+            row = table[offset[i] : offset[i + 1]]
+            assert row == _deviation_row(ev, choices, loads, i), (agent, i)
 
 
 def test_dynamics_leave_no_cyclic_garbage():

@@ -103,6 +103,15 @@ def test_generator_is_deterministic_and_valid():
         gen_random("mystery", seed=0)
 
 
+@pytest.mark.parametrize("kind", ["s-asymmetric", "asymmetric"])
+def test_generator_keeps_a_single_agents_space_as_asked(kind):
+    """One space has no other to differ from, so none is forced apart."""
+    for nodes, strategies in ((3, 1), (1, 1), (4, 3)):
+        inst = gen_random(kind, seed=0, num_nodes=nodes, num_agents=1,
+                          num_strategies=strategies)
+        assert len(inst.agents[0].strategies) == strategies
+
+
 @pytest.mark.parametrize("bound", ["max_strategy_size", "max_weight", "max_value"])
 def test_generator_rejects_bounds_below_one(bound):
     for bad in (0, -1):

@@ -510,6 +510,14 @@ def test_cli_gen_deterministic(tmp_path):
     assert len({agent.strategies for agent in inst.agents}) == 1
 
 
+def test_cli_gen_single_agent_on_one_node(capsys):
+    args = ["gen", "--kind", "s-asymmetric", "--seed", "0", "--nodes", "1",
+            "--agents", "1", "--strategies", "1"]
+    assert run_cli(args) == 0
+    inst = io.loads_instance(capsys.readouterr().out)
+    assert [agent.strategies for agent in inst.agents] == [((0,),)]
+
+
 def test_cli_analyze_jobs_flag(tmp_path, capsys):
     inst_file = tmp_path / "r.json"
     run_cli(["gen", "--kind", "symmetric", "--seed", "14", "-o", str(inst_file)])

@@ -49,10 +49,14 @@ def test_workload_runs_and_checks_at_tiny_size(perfbench, name):
     _pool_matches_its_digests(perfbench, name, "tiny", 1)
 
 
+@pytest.mark.parametrize("name", ["qbf", "dynamics"])
 @pytest.mark.parametrize("seed", [1, 2])
-def test_qbf_workload_matches_its_digests_at_full_size(perfbench, seed):
-    """The only job that writes a game document: a layout slip fails here."""
-    _pool_matches_its_digests(perfbench, "qbf", "full", seed)
+def test_workload_matches_its_digests_at_full_size(perfbench, name, seed):
+    """`qbf` has the only job that writes a game document, and `dynamics`
+    the only traces long enough to reach most of the epsilon table's
+    updates: a layout slip or a wrong entry that decides a step fails
+    here."""
+    _pool_matches_its_digests(perfbench, name, "full", seed)
 
 
 def test_tracer_installs_and_uninstalls(perfbench):
