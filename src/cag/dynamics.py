@@ -56,7 +56,7 @@ from fractions import Fraction
 from functools import partial
 
 from .engine import Evaluator
-from .model import Instance, StrategyProfile, check_profile
+from .model import Instance, StrategyProfile, check_profile, exact_number
 from .potentials import harmonic_numbers
 
 __all__ = [
@@ -79,7 +79,7 @@ def min_alpha(inst: Instance) -> float:
 @dataclass(frozen=True)
 class DynamicsConfig:
     mode: str  # "epsilon" | "alpha"
-    epsilon: Fraction = Fraction(0)
+    epsilon: Fraction | int | float = Fraction(0)
     alpha: float = 1.0
     max_steps: int = 100_000
     allow_any_alpha: bool = False
@@ -115,25 +115,21 @@ def best_response(
         raise IndexError(f"agent index {agent} out of range")
     ev = Evaluator(inst)
     choices = profile.choices
-    row = _deviation_row(ev, choices, ev.loads(choices), agent)
+    loads = ev.loads(choices)
+    row = [
+        ev.deviation_scaled(choices, loads, agent, s)
+        for s in range(len(ev.spaces[agent]))
+    ]
     current = row[choices[agent]]
     best = max(row)
     choice = choices[agent] if best == current else row.index(best)
     return choice, ev.frac(best - current)
 
 
-def _deviation_row(ev: Evaluator, choices, loads, agent: int) -> list[int]:
-    """Scaled utility of `agent` under each of its strategies, with everyone
-    else fixed: `join_row` on the loads without the agent's own."""
-    others = loads[:]
-    for j in ev.spaces[agent][choices[agent]]:
-        others[j] -= ev.weights[agent]
-    return ev.join_row(others, agent)
-
-
-def epsilon_step_bound(inst: Instance, epsilon: Fraction) -> int:
+def epsilon_step_bound(inst: Instance, epsilon: Fraction | int | float) -> int:
     """Convergence bound for epsilon mode:
     ``ceil(total_value * H(m) * m / epsilon)``."""
+    epsilon = exact_number(epsilon, "epsilon")
     if epsilon <= 0:
         raise ValueError("step bound requires epsilon > 0")
     m = inst.num_agents
@@ -141,32 +137,34 @@ def epsilon_step_bound(inst: Instance, epsilon: Fraction) -> int:
     return -(-bound.numerator // bound.denominator)
 
 
-def _check_config(inst: Instance, cfg: DynamicsConfig) -> None:
+def _check_config(inst: Instance, cfg: DynamicsConfig) -> Fraction:
+    """The mode's exact parameter, epsilon or alpha, once `cfg` is valid
+    for `inst`."""
     if cfg.mode not in ("epsilon", "alpha"):
         raise ValueError(f"invalid dynamics mode {cfg.mode!r}")
     if cfg.max_steps < 1:
         raise ValueError("max_steps must be positive")
     if cfg.mode == "epsilon":
-        if cfg.epsilon < 0:
+        epsilon = exact_number(cfg.epsilon, "epsilon")
+        if epsilon < 0:
             raise ValueError("epsilon must be >= 0")
         if any(w != 1 for w in inst.weights):
             raise ValueError(
                 "weighted-agents-unsupported: epsilon mode requires unit "
                 "agent weights"
             )
-    else:
-        # only a float can be non-finite; an exact alpha may exceed float range
-        if isinstance(cfg.alpha, float) and not math.isfinite(cfg.alpha):
-            raise ValueError(f"alpha must be finite, got {cfg.alpha}")
-        if cfg.alpha < 1:
-            raise ValueError("alpha must be >= 1")
-        # Tiny tolerance so callers may pass the float threshold itself.
-        if not cfg.allow_any_alpha and cfg.alpha < min_alpha(inst) - 1e-12:
-            raise ValueError(
-                f"alpha {cfg.alpha} below ln(1 + w_max) + 1 = "
-                f"{min_alpha(inst)}; termination is not guaranteed "
-                "(set allow_any_alpha to override)"
-            )
+        return epsilon
+    alpha = exact_number(cfg.alpha, "alpha")
+    if alpha < 1:
+        raise ValueError("alpha must be >= 1")
+    # Tiny tolerance so callers may pass the float threshold itself.
+    if not cfg.allow_any_alpha and alpha < min_alpha(inst) - 1e-12:
+        raise ValueError(
+            f"alpha {cfg.alpha} below ln(1 + w_max) + 1 = "
+            f"{min_alpha(inst)}; termination is not guaranteed "
+            "(set allow_any_alpha to override)"
+        )
+    return alpha
 
 
 def run_dynamics(
@@ -175,7 +173,7 @@ def run_dynamics(
     """Run improvement dynamics from `start` until no qualifying deviation
     remains or the step limit is hit."""
     check_profile(inst, start)
-    _check_config(inst, cfg)
+    rate = _check_config(inst, cfg)
     ev = Evaluator(inst)
     choices = list(start.choices)
     loads = ev.loads(choices)
@@ -183,7 +181,7 @@ def run_dynamics(
 
     if cfg.mode == "epsilon":
         # improvement test: dev * q > cur * (q + p)  <=>  dev > (1+eps) cur
-        p, q = cfg.epsilon.numerator, cfg.epsilon.denominator
+        p, q = rate.numerator, rate.denominator
         table, offset, through, holders, mine = _unit_table(ev, choices, loads)
         select = partial(_max_row_gain, table, offset, choices, p, q)
         move = partial(
@@ -191,9 +189,8 @@ def run_dynamics(
             ev.share + [0],
         )
     else:
-        alpha = Fraction(cfg.alpha)
         select = partial(
-            ev.first_improvement, choices, loads, alpha.numerator, alpha.denominator
+            ev.first_improvement, choices, loads, rate.numerator, rate.denominator
         )
         move = partial(_move, ev, choices, loads)
 

@@ -15,8 +15,10 @@ An agent's scaled utility at a strategy is w * sum of v_j * share[load_j]
 over the strategy's nodes.  Every scoring loop forms the sum from
 `values` and `share` alone and multiplies it by the weight once, which is
 exact because w * (a + b) = w * a + w * b; no per-strategy table of
-weighted terms is kept.  `live` only compares scores of one agent, so it
-leaves the weight out.
+weighted terms is kept.  `deviation_scaled` is the one loop that scores
+an agent at one strategy with the others fixed, its own choice included;
+`join_row` scores a whole row.  `live` only compares scores of one agent,
+so it leaves the weight out.
 
 The engine also owns the welfare optimum, `optimum`: one pass over
 covered-node bitmasks, whose layers hold no more masks than
@@ -124,25 +126,17 @@ class Evaluator:
         return loads
 
     def utility_scaled(self, choices, loads, agent: int) -> int:
-        values, share = self.values, self.share
-        total = 0
-        for j in self.spaces[agent][choices[agent]]:
-            total += values[j] * share[loads[j]]
-        return self.weights[agent] * total
+        return self.deviation_scaled(choices, loads, agent, choices[agent])
 
     def utilities_scaled(self, choices, loads) -> tuple[int, ...]:
-        values, share = self.values, self.share
-        out = []
-        for w, space, choice in zip(self.weights, self.spaces, choices):
-            total = 0
-            for j in space[choice]:
-                total += values[j] * share[loads[j]]
-            out.append(w * total)
-        return tuple(out)
+        return tuple(
+            self.utility_scaled(choices, loads, i) for i in range(self.num_agents)
+        )
 
     def deviation_scaled(self, choices, loads, agent: int, new_choice: int) -> int:
         """Scaled utility of `agent` after unilaterally switching to
-        `new_choice`, with everyone else fixed."""
+        `new_choice`, with everyone else fixed; at its own choice, its
+        current utility."""
         w = self.weights[agent]
         current = self.space_sets[agent][choices[agent]]
         values, share = self.values, self.share
@@ -297,7 +291,7 @@ class Evaluator:
         (alpha_num/alpha_den) times the agent's current utility, as
         (agent, strategy, scaled gain); None if there is none."""
         for i in range(self.num_agents):
-            current = self.utility_scaled(choices, loads, i)
+            current = self.deviation_scaled(choices, loads, i, choices[i])
             bar = current * alpha_num
             for alt in range(len(self.spaces[i])):
                 if alt == choices[i]:

@@ -62,6 +62,7 @@ from .model import (
     StrategyProfile,
     check_budget,
     check_profile,
+    exact_number,
 )
 
 __all__ = [
@@ -83,12 +84,12 @@ class EquilibriumReport:
 
 
 def is_approx_pne(
-    inst: Instance, profile: StrategyProfile, alpha: Fraction | int = 1
+    inst: Instance, profile: StrategyProfile, alpha: Fraction | int | float = 1
 ) -> bool:
     """True iff no agent can multiply its utility by more than `alpha` with
     a unilateral deviation (exact comparison).  ``alpha = 1`` tests an exact
     equilibrium."""
-    alpha = Fraction(alpha)
+    alpha = exact_number(alpha, "alpha")
     if alpha < 1:
         raise ValueError("alpha must be >= 1")
     check_profile(inst, profile)

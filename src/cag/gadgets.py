@@ -98,7 +98,10 @@ def split_unit_values(inst: Instance) -> ReductionOutput:
     profile map is the identity."""
     values = inst.values
     entries = sum(values[j] for a in inst.agents for s in a.strategies for j in s)
-    check_build_size(sum(values) + entries, "the unit split")
+    strategies = sum(len(a.strategies) for a in inst.agents)
+    check_build_size(
+        "the unit split", sum(values), inst.num_agents, strategies, entries
+    )
     taken = {n.id for n in inst.nodes}
     nodes: list[Node] = []
     groups: list[tuple[int, ...]] = []
@@ -562,9 +565,10 @@ class ThreeDMInstance:
                 raise ValueError(f"triple {t} out of range")
 
 
-def oracle_perfect_3dm(tdm: ThreeDMInstance, budget: int = DEFAULT_BUDGET) -> bool:
+def oracle_perfect_3dm(tdm: ThreeDMInstance) -> bool:
     """Exhaustively decide whether a perfect matching exists: n disjoint
-    triples covering every vertex of every class exactly once."""
+    triples covering every vertex of every class exactly once.  Raises
+    BudgetError once the search tries more than DEFAULT_BUDGET triples."""
     by_x: list[list[tuple[int, int]]] = [[] for _ in range(tdm.n)]
     for x, y, z in set(tdm.triples):
         by_x[x].append((y, z))
@@ -580,7 +584,7 @@ def oracle_perfect_3dm(tdm: ThreeDMInstance, budget: int = DEFAULT_BUDGET) -> bo
             return True
         for y, z in by_x[x]:
             visited += 1
-            if visited > budget:
+            if visited > DEFAULT_BUDGET:
                 raise BudgetError("search-space-too-large: matching search")
             if not used_y[y] and not used_z[z]:
                 used_y[y] = used_z[z] = True
@@ -608,11 +612,15 @@ def tdm_to_cag(tdm: ThreeDMInstance, symmetrize: bool = False) -> ReductionOutpu
     if not tdm.triples:
         raise ValueError("matching instance must have at least one triple")
     n, t = tdm.n, len(tdm.triples)
-    # each matching agent lists the t triples and n fallbacks, of <= 3 nodes
-    entries = 3 * n * (t + n)
+    # 4n + 4 nodes and n + 2 reserve nodes when symmetrized; the core agents
+    # list 4 strategies of 2 nodes, each matching agent the t triples and n
+    # fallbacks, of <= 3 nodes
+    strategies = n * (t + n) + 4
+    entries = 3 * n * (t + n) + 8
     if symmetrize:  # then every agent lists every strategy plus a reserve node
-        entries += 4 * (n + 2) * (n * (t + n) + 4)
-    check_build_size(5 * n + 14 + entries, "the 3dm reduction")
+        entries += 4 * (n + 2) * strategies
+        strategies *= n + 3
+    check_build_size("the 3dm reduction", 5 * n + 6, n + 2, strategies, entries)
     nodes = [Node("q1", 2), Node("q2", 1), Node("q3", 1), Node("q4", 2)]
     index: dict[str, int] = {}
     for cls in ("x", "y", "z"):
@@ -700,10 +708,11 @@ def _clause_true(clause, assignment) -> bool:
     )
 
 
-def oracle_tqbf(formula: TqbfFormula, budget: int = DEFAULT_BUDGET) -> bool:
+def oracle_tqbf(formula: TqbfFormula) -> bool:
     """Exact recursive evaluation; odd variables are existential, even ones
-    universal."""
-    if 2**formula.num_vars > budget:
+    universal.  Raises BudgetError when the 2^n assignments exceed
+    DEFAULT_BUDGET."""
+    if 2**formula.num_vars > DEFAULT_BUDGET:
         raise BudgetError("search-space-too-large: quantifier tree")
     assignment = [0] * (formula.num_vars + 1)
 
@@ -741,8 +750,12 @@ def tqbf_to_cag(formula: TqbfFormula) -> ReductionOutput:
         raise ValueError("formula must have at least one clause")
     n_prime = (n - 1) // 2
     nc = len(formula.clauses)
-    # variable agents 2 x 2 nodes, the picker nc x nc, the checker 3nc x 3
-    check_build_size(6 * n + nc * (nc + 10) + 20, "the qbf reduction")
+    # 2n + nc + 6 nodes; variable agents list 2 x 2 nodes, the picker nc x
+    # nc, the checker 3nc x 3 and 1 x 5, the pinned agents 1 x 3 each
+    check_build_size(
+        "the qbf reduction", 2 * n + nc + 6, n + 5, 2 * n + 4 * nc + 4,
+        4 * n + nc * (nc + 9) + 14,
+    )
 
     nodes = [Node("qE", 1), Node("qA", 1)]
     clause_idx = []

@@ -78,8 +78,10 @@ def gen_random(
     if max_strategy_size is not None:
         max_size = min(max_strategy_size, num_nodes)
     # agent 0 may get one extra strategy of up to num_nodes nodes
+    strategies = num_agents * num_strategies
     check_build_size(
-        2 * num_nodes + num_agents * num_strategies * max_size, "the generator"
+        "the generator", num_nodes, num_agents, strategies + 1,
+        num_nodes + strategies * max_size,
     )
     rng = random.Random(seed)
 

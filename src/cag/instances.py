@@ -53,7 +53,7 @@ def _poa_lb(n: int, m: int) -> Instance:
         raise ValueError("poa-lb requires n > m")
     if m < 1:
         raise ValueError("poa-lb requires m >= 1")
-    check_build_size(n * (m + 1), "the named instance")
+    check_build_size("the named instance", n, m, m * (n - m + 1), n * m)
     space = [list(range(m))] + [[j] for j in range(m, n)]
     return Instance.build(
         nodes=[(f"q{j + 1}", 1) for j in range(n)],

@@ -46,7 +46,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import Evaluator
-from .model import DEFAULT_BUDGET, Instance, StrategyProfile, check_budget
+from .model import (
+    DEFAULT_BUDGET,
+    Instance,
+    StrategyProfile,
+    check_budget,
+    exact_number,
+)
 
 __all__ = [
     "SequentialGame",
@@ -216,14 +222,14 @@ def spe_solve(
 def spe_decision(
     game: SequentialGame,
     agent: int,
-    threshold: Fraction | int,
+    threshold: Fraction | int | float,
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
     """True iff some subgame-perfect outcome gives `agent` utility at least
     `threshold`."""
     if not 0 <= agent < game.instance.num_agents:
         raise IndexError(f"agent index {agent} out of range")
-    threshold = Fraction(threshold)
+    threshold = exact_number(threshold, "threshold")
     check_budget(game.instance, budget)
     ev = Evaluator(game.instance)
     # the least scaled utility u with u / den >= threshold
@@ -233,12 +239,12 @@ def spe_decision(
         # none does, no root outcome does
         return _walk(ev, game.order, (), goal=goal)[0] is None
     roots, finals = _walk(ev, game.order, (agent,))
-    space, values, share = ev.spaces[agent], ev.values, ev.share
-    best = max(
-        sum(values[j] * share[loads[j]] for j in space[recorded[0] if recorded else 0])
-        for loads, recorded in (finals[o] for o in roots)
-    )
-    return ev.weights[agent] * best >= goal
+    choices = [0] * ev.num_agents
+    for loads, recorded in (finals[o] for o in roots):
+        choices[agent] = recorded[0] if recorded else 0
+        if ev.utility_scaled(choices, loads, agent) >= goal:
+            return True
+    return False
 
 
 def spoa(game: SequentialGame, budget: int = DEFAULT_BUDGET) -> Fraction:

@@ -22,7 +22,6 @@ from cag import (
 from cag.dynamics import (
     DynamicsStep,
     DynamicsTrace,
-    _deviation_row,
     _move_unit,
     _unit_table,
     epsilon_step_bound,
@@ -239,6 +238,18 @@ def test_alpha_mode_rejects_non_finite_alpha(example1, alpha):
         run_dynamics(example1, StrategyProfile((0, 0, 0)), cfg)
 
 
+@pytest.mark.parametrize("eps", [0.5, 0.1, 0.0, 3.0])
+def test_float_epsilon_runs_as_its_exact_value(eps):
+    inst = gen_random("s-asymmetric", seed=3, num_nodes=8, num_agents=5,
+                      num_strategies=3, max_strategy_size=3)
+    start = StrategyProfile((0,) * 5)
+    trace = run_dynamics(inst, start, DynamicsConfig(mode="epsilon", epsilon=eps))
+    exact = DynamicsConfig(mode="epsilon", epsilon=Fraction(eps))
+    assert trace == run_dynamics(inst, start, exact)
+    if eps > 0:
+        assert epsilon_step_bound(inst, eps) == epsilon_step_bound(inst, Fraction(eps))
+
+
 def test_alpha_mode_accepts_exact_alpha_beyond_float_range(example1):
     cfg = DynamicsConfig(mode="alpha", alpha=Fraction(10**400), allow_any_alpha=True)
     trace = run_dynamics(example1, StrategyProfile((0, 0, 0)), cfg)
@@ -334,9 +345,10 @@ TRAILING_ZERO = (
 )
 @example(game=TRAILING_ZERO, moves=[(0, 1), (0, 0)])
 def test_epsilon_table_stays_exact_under_any_move(game, moves):
-    """Every entry of the epsilon run's table equals a fresh deviation row
-    after each move, improving or not: an entry that is wrong but never a
-    row's maximum would leave every trace intact."""
+    """Every entry of the epsilon run's table equals a fresh
+    `deviation_scaled` score after each move, improving or not: an entry
+    that is wrong but never a row's maximum would leave every trace
+    intact."""
     inst, start = game
     ev = Evaluator(inst)
     choices = list(start.choices)
@@ -351,7 +363,10 @@ def test_epsilon_table_stays_exact_under_any_move(game, moves):
         assert loads == ev.loads(choices)
         for i in range(inst.num_agents):
             row = table[offset[i] : offset[i + 1]]
-            assert row == _deviation_row(ev, choices, loads, i), (agent, i)
+            assert row == [
+                ev.deviation_scaled(choices, loads, i, s)
+                for s in range(len(ev.spaces[i]))
+            ], (agent, i)
 
 
 def test_dynamics_leave_no_cyclic_garbage():

@@ -36,6 +36,7 @@ from cag import (
     tqbf_to_cag,
     unionize_strategies,
     utility,
+    validate_instance,
 )
 from cag import gadgets
 from cag.gadgets import first_primes
@@ -223,6 +224,14 @@ def test_oracle_perfect_3dm():
     assert not oracle_perfect_3dm(ThreeDMInstance(1, ()))
 
 
+def test_oracle_perfect_3dm_refuses_a_search_past_the_budget(monkeypatch):
+    # any search places one triple per x, so two tries pass a budget of 1
+    monkeypatch.setattr(gadgets, "DEFAULT_BUDGET", 1)
+    tdm = ThreeDMInstance(2, ((0, 0, 0), (1, 1, 1), (0, 1, 0)))
+    with pytest.raises(BudgetError, match="^search-space-too-large: matching search$"):
+        oracle_perfect_3dm(tdm)
+
+
 def test_tdm_reduction_tracks_oracle():
     yes = ThreeDMInstance(2, ((0, 0, 0), (1, 1, 1), (0, 1, 0)))
     no = ThreeDMInstance(2, ((0, 0, 0), (0, 1, 1)))
@@ -259,6 +268,13 @@ def test_oracle_tqbf_basics():
     assert oracle_tqbf(TqbfFormula(1, ((1, 1, 1),)))
     assert not oracle_tqbf(TqbfFormula(2, ((2, 2, 2),)))  # forall x2: x2
     assert not oracle_tqbf(TqbfFormula(1, ((1, 1, 1), (-1, -1, -1))))
+
+
+def test_oracle_tqbf_refuses_more_assignments_than_the_budget():
+    # 2^24 = 16,777,216 assignments > 10^7
+    formula = TqbfFormula(24, ((1, -12, 24),))
+    with pytest.raises(BudgetError, match="^search-space-too-large: quantifier tree$"):
+        oracle_tqbf(formula)
 
 
 def test_oracle_tqbf_matches_direct_enumeration():
@@ -393,6 +409,17 @@ def test_symmetrize_unit_instance_still_works():
                       num_strategies=2, max_strategy_size=2)
     red = symmetrize_weighted(inst)
     assert pne_exists(red.instance) == pne_exists(inst) == True
+
+
+def test_symmetrize_names_a_reserve_around_a_taken_id():
+    inst = Instance.build(
+        nodes=[("r1", 1), ("q2", 1)], agents=[("a1", 2, [[0], [1]]), ("a2", 1, [[1]])]
+    )
+    red = symmetrize_weighted(inst)
+    out = red.instance
+    names = [out.nodes[j].id for j in red.mapping["reserve_nodes"]]
+    assert names == ["_r1", "r2"]
+    assert validate_instance(out).ok
 
 
 def test_symmetrize_split_output_has_unit_values(example1):

@@ -304,6 +304,17 @@ def test_trace_round_trip():
     assert io.loads_trace(io.dumps_trace(trace)) == trace
 
 
+@pytest.mark.parametrize("text", ["", '{"step": 1, "agent": 0, "from": 0, "to": 1, "gain": "1"}\n'])
+def test_trace_without_a_summary_record_is_refused(text):
+    with pytest.raises(ValueError, match="^trace must end with a summary record$"):
+        io.loads_trace(text)
+
+
+def test_instance_text_must_be_a_json_object():
+    with pytest.raises(ValueError, match="^expected a JSON object$"):
+        io.loads_instance("[]")
+
+
 def test_graph_tdm_tqbf_round_trips():
     graph = CutGraph(3, ((0, 1, 2), (1, 2, 7)))
     assert io.loads_graph(io.dumps_graph(graph)) == graph
@@ -914,6 +925,13 @@ def test_cli_refuses_malformed_file_with_one_line(
         (["gadget", "maxcut", "FILE"], {"vertices": 2**64, "edges": [[0, 1, 1]]}),
         (["gadget", "maxcut", "FILE"], {"vertices": 2, "edges": [[0, 1, 2**300]]}),
         (["gadget", "split", "FILE"], _with("nodes", [{"id": "q", "value": 2**64}])),
+        # under the count bound, but past the bytes the build and its text take
+        (["gen", "--kind", "symmetric", "--seed", "1", "--nodes", "3000000",
+          "--agents", "1", "--strategies", "1"], None),
+        (["gen", "--kind", "symmetric", "--seed", "1", "--nodes", "1",
+          "--agents", "3000000", "--strategies", "1"], None),
+        (["gadget", "poa-lb", "--n", "1500000", "--m", "1"], None),
+        (["gadget", "tqbf", "FILE"], {"vars": 1_500_001, "clauses": [[1, 2, 3]]}),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )

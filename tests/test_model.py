@@ -1,3 +1,4 @@
+import math
 import sys
 from fractions import Fraction
 from math import lcm
@@ -8,18 +9,23 @@ from hypothesis import given, strategies as st
 from cag import (
     Agent,
     BudgetError,
+    DynamicsConfig,
     Instance,
     Node,
     SequentialGame,
     StrategyProfile,
     analyze,
     classify_symmetry,
+    is_approx_pne,
     load,
+    run_dynamics,
     social_welfare,
+    spe_decision,
     spoa,
     utility,
     validate_instance,
 )
+from cag.dynamics import epsilon_step_bound
 from cag.engine import Evaluator
 
 from conftest import instances, instances_with_profiles
@@ -122,6 +128,17 @@ def test_validate_flags_bad_index_and_weight():
     errors = " ".join(validate_instance(inst).errors)
     assert "out of range" in errors
     assert "non-positive weight" in errors
+
+
+def test_validate_flags_duplicate_ids_on_a_built_instance():
+    inst = Instance.build(
+        nodes=[("q1", 1), ("q1", 2)],
+        agents=[("a1", 1, [[0]]), ("a1", 1, [[1]])],
+    )
+    assert validate_instance(inst).errors == (
+        "duplicate node id 'q1'",
+        "duplicate agent id 'a1'",
+    )
 
 
 def test_validate_flags_a_total_value_past_the_digit_limit():
@@ -391,3 +408,25 @@ def test_library_refuses_a_total_weight_past_the_digit_limit_in_its_own_words():
     assert str(refused.value) == (
         f"invalid-instance: agent weights: total exceeds the limit of {limit} digits"
     )
+
+
+# (entry point, the argument it names, a call passing that argument)
+_NUMBER_ENTRY_POINTS = [
+    ("is_approx_pne", "alpha", lambda inst, p, v: is_approx_pne(inst, p, v)),
+    ("spe_decision", "threshold",
+     lambda inst, p, v: spe_decision(SequentialGame.natural(inst), 0, v)),
+    ("epsilon_step_bound", "epsilon", lambda inst, p, v: epsilon_step_bound(inst, v)),
+    ("run_dynamics", "epsilon", lambda inst, p, v: run_dynamics(
+        inst, p, DynamicsConfig(mode="epsilon", epsilon=v))),
+]
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize(
+    "name, call", [e[1:] for e in _NUMBER_ENTRY_POINTS],
+    ids=[e[0] for e in _NUMBER_ENTRY_POINTS],
+)
+def test_entry_points_refuse_non_finite_numbers_by_name(name, call, value):
+    inst = Instance.build([("q1", 1), ("q2", 2)], [("a1", 1, [[0], [1]])])
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        call(inst, StrategyProfile((0,)), value)
