@@ -257,7 +257,10 @@ class Evaluator:
         lexicographically-first prefix reaching it: a sorted choice within
         each class of interchangeable agents, hence an orbit
         representative.  The last layer is only scored, keeping the first
-        best it meets.
+        best it meets, and its scan ends once the best equals the cover
+        bound, the total value of the nodes some strategy holds: no
+        welfare exceeds that bound, so no later entry is a strict best and
+        the witness is the one a full scan keeps.
         """
         values = self.values
         loads, choices, active = self.preplace(range(self.num_agents))
@@ -275,12 +278,16 @@ class Evaluator:
                         gain = sum(values[j] for j in nodes if not mask >> j & 1)
                         layer[covered] = (mask, c, welfare + gain)
             layers.append(layer)
+        held = {j for space in self.spaces for nodes in space for j in nodes}
+        cover = sum(values[j] for j in held)
         best = (-1, None, 0)
         for mask, (_, _, welfare) in layers[-1].items():
             for c, nodes in enumerate(self.spaces[active[-1]]):
                 total = welfare + sum(values[j] for j in nodes if not mask >> j & 1)
                 if total > best[0]:
                     best = (total, mask, c)
+            if best[0] == cover:
+                break
         welfare, mask, choices[active[-1]] = best
         for i, layer in zip(reversed(active[:-1]), reversed(layers)):
             mask, choices[i], _ = layer[mask]

@@ -27,10 +27,10 @@ equilibria, and the order of elimination does not change the result
 (Knuth, Papadimitriou & Tsitsiklis, Oper. Res. Lett. 7, 1988; Gilboa,
 Kalai & Zemel, Math. Oper. Res. 18, 1993).  The leaf test still checks
 every strategy, the optimum is taken over the full spaces, and choices
-keep their original indices.  The sequential walk (`sequential`) is not
-pruned: a subgame off the equilibrium path may hold an eliminated earlier
-choice, and an agent's best reply there need not be live, so that pruning
-would need its own proof.
+keep their original indices.  The sequential walk (`sequential`) prunes by
+its own rule: it compares a mover's choices at each state's actual loads,
+so a subgame off the equilibrium path, which may hold an eliminated
+earlier choice, needs no argument of its own.
 
 Only the last choosing agent's best responses are placed.  Once every other
 agent is placed, that agent's utility under each of its strategies is fixed

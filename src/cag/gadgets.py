@@ -134,6 +134,20 @@ def _strategy_value(inst: Instance, strategy: tuple[int, ...]) -> int:
     return sum(inst.nodes[j].value for j in strategy)
 
 
+def _check_shared(what: str, inst: Instance, nodes: int, private: int) -> None:
+    """`check_build_size` for the shared space `_shared_space` would build
+    on `nodes` nodes, with `private` nodes joined to every strategy.  Every
+    agent writes the whole shared list, so the document holds A * S
+    strategies and A times the shared list's entries, for A agents and S
+    original strategies in all."""
+    agents = inst.num_agents
+    count = sum(len(a.strategies) for a in inst.agents)
+    held = sum(len(s) for a in inst.agents for s in a.strategies)
+    check_build_size(
+        what, nodes, agents, agents * count, agents * (held + count * private)
+    )
+
+
 def _shared_space(
     inst: Instance, nodes: list[Node], private: list[tuple[int, ...]]
 ) -> tuple[Instance, tuple[tuple[int, int], ...]]:
@@ -172,6 +186,9 @@ def symmetrize_weighted(inst: Instance, split: bool = False) -> ReductionOutput:
             "hypothesis violated: more than one agent has non-unit weight"
         )
     heavy = heavies[0] if heavies else 0
+    _check_shared(
+        "the weight symmetrization", inst, inst.num_nodes + inst.num_agents, 1
+    )
     big_t = inst.agents[heavy].weight
     big_m = max(
         _strategy_value(inst, s) for a in inst.agents for s in a.strategies
@@ -217,6 +234,10 @@ def unionize_strategies(inst: Instance) -> ReductionOutput:
     if any(n.value != 1 for n in inst.nodes):
         raise ValueError("hypothesis violated: requires unit node values")
     group_size = 2 * inst.num_nodes + 1
+    _check_shared(
+        "the strategy union", inst, inst.num_nodes + inst.num_agents * group_size,
+        group_size,
+    )
     taken = {n.id for n in inst.nodes}
     nodes = list(inst.nodes)
     groups: list[tuple[int, ...]] = []

@@ -32,6 +32,36 @@ all its choices is always worth that much, so its best at the root is its
 best over all its choices.  If no choice reaches the threshold, no root
 outcome does, so that mover's choice needs no record.
 
+At each state of every mover but the last, the walk skips the choices that
+no mode could keep.  Let L be the state's loads, w the mover's weight, and
+F(j) and M(j) the weight of the later movers whose every, or some,
+strategy holds node j.  After choice s the final load at a node j of s lies
+between L_j + w + F(j) and L_j + w + M(j), and `share` falls as the load
+grows, so every outcome after s pays the mover at most w * hi(s), with
+hi(s) the sum over j in s of v_j * share[L_j + w + F(j)], and every
+outcome after u at least w * lo(u), lo(u) the sum over j in u of
+v_j * share[L_j + w + M(j)].  Both loads are subset sums of j's
+attractors (the earlier movers and single-strategy agents on j, the mover,
+and later movers through j), so `share` is nonzero at both.  A choice s
+with hi(s) below the largest lo(u) is skipped:
+
+* exhaustive mode keeps only outcomes worth the threshold, the largest
+  over choices of the worst outcome after each, which is at least lo(u)
+  times w; every outcome after s is worth less, and s never sets it;
+* deterministic mode keeps the first child best for the mover, and s's
+  child pays it less than u's;
+* with `goal`, an outcome after s worth the goal would make every outcome
+  after u worth it too, so the root stops, or not, as it would have.
+
+A choice with hi(s) equal to the largest lo(u) stays: an outcome after it
+may meet the threshold exactly.  The test reads the state's own loads, so,
+unlike `Evaluator.live`'s, it holds in every subgame, off the equilibrium
+path too.  Before it starts, the walk marks the depths at which no state
+can skip a choice (`_cuts`), bounding hi from below with every earlier
+mover on each node it can hold, and lo from above with each earlier mover
+only on the nodes it must hold; it tests only the other depths.  The mark
+is only a shortcut: the per-state test alone decides what is skipped.
+
 The walk places single-strategy movers once, before it starts, since those
 movers make no decision.  Every entry point first refuses, with
 `model.check_budget`, a game whose profiles outnumber the budget.
@@ -91,6 +121,69 @@ class SpeResult:
     mode: str  # "deterministic" | "exhaustive"
 
 
+def _cuts(ev: Evaluator, placed, active):
+    """Per depth of `active`, None where no state can skip a choice (the
+    last depth among them), else the offsets (hi, lo) the walk adds to a
+    state's loads: ``hi[j]`` and ``lo[j]`` are the mover's weight plus the
+    weight of the later movers whose every, or some, strategy holds node j.
+
+    A depth is None when every choice's best case, with each earlier mover
+    on every node it can hold, is at least every choice's worst case with
+    each earlier mover only on the nodes it must hold; that bounds every
+    state of the depth.  Each mover's intersection and union are formed
+    once, and the offsets only at the depths that need them."""
+    weights, values, share, sets = ev.weights, ev.values, ev.share, ev.space_sets
+    every = [frozenset.intersection(*sets[i]) for i in active]
+    some = [frozenset.union(*sets[i]) for i in active]
+    # At depth t and a node j of the mover, hi_load[j] weighs the mover, the
+    # earlier movers that can hold j and the later ones that must: the most
+    # load a best case can meet.  lo_load[j] weighs the mover, the earlier
+    # movers that must hold j and the later ones that can: the least load a
+    # worst case can meet.  `loose` holds the nodes the mover can leave.
+    hi_load, lo_load = placed[:], placed[:]
+    for k, mover in enumerate(active):
+        w = weights[mover]
+        for j in every[k]:
+            hi_load[j] += w
+        for j in some[k]:
+            lo_load[j] += w
+    need = [False] * len(active)
+    for t in range(len(active) - 1):
+        mover = active[t]
+        w, space, loose = weights[mover], ev.spaces[mover], some[t] - every[t]
+        for j in loose:
+            hi_load[j] += w
+        floor = 0
+        for nodes in space:
+            u = 0
+            for j in nodes:
+                u += values[j] * share[lo_load[j]]
+            if u > floor:
+                floor = u
+        for nodes in space:
+            u = 0
+            for j in nodes:
+                u += values[j] * share[hi_load[j]]
+            if u < floor:
+                need[t] = True
+                break
+        for j in loose:
+            lo_load[j] -= w
+    cuts = [None] * len(active)
+    if any(need):
+        held_all = [0] * ev.num_nodes
+        held_any = [0] * ev.num_nodes
+        for t in range(len(active) - 1, need.index(True) - 1, -1):
+            w = weights[active[t]]
+            if need[t]:
+                cuts[t] = ([w + c for c in held_all], [w + c for c in held_any])
+            for j in every[t]:
+                held_all[j] += w
+            for j in some[t]:
+                held_any[j] += w
+    return cuts
+
+
 def _walk(ev: Evaluator, order, record, exhaustive: bool = True, goal=None):
     """Backward induction over the choosing movers of `order`, memoized on
     (depth, loads); returns the root's outcome ids and `finals`, where
@@ -108,6 +201,7 @@ def _walk(ev: Evaluator, order, record, exhaustive: bool = True, goal=None):
     spaces, weights, values, share = ev.spaces, ev.weights, ev.values, ev.share
     depth = len(active)
     records = [mover in record for mover in active]
+    cuts = _cuts(ev, loads, active)
     ids: dict = {}  # outcome -> its id
     finals: list = []  # id -> outcome: (final loads, recorded choices)
     table: dict = {}  # (depth, loads) -> the subgame's outcome ids
@@ -142,8 +236,29 @@ def _walk(ev: Evaluator, order, record, exhaustive: bool = True, goal=None):
                     merged.add(oid)
             merged = table[key] = tuple(merged)
             return merged
-        scored = []  # per choice: (mover's utility, outcome id) pairs
-        for s, nodes in enumerate(spaces[mover]):
+        space = spaces[mover]
+        kept = range(len(space))
+        if cuts[t] is not None:
+            # Skip each choice whose best case is below some choice's worst
+            # case: none of its outcomes could meet the mover's threshold.
+            hi, lo = cuts[t]
+            floor = 0
+            for nodes in space:
+                u = 0
+                for j in nodes:
+                    u += values[j] * share[loads[j] + lo[j]]
+                if u > floor:
+                    floor = u
+            kept = []
+            for s, nodes in enumerate(space):
+                u = 0
+                for j in nodes:
+                    u += values[j] * share[loads[j] + hi[j]]
+                if u >= floor:
+                    kept.append(s)
+        scored = []  # per kept choice: (mover's utility, outcome id) pairs
+        for s in kept:
+            nodes = space[s]
             for j in nodes:
                 loads[j] += w
             sub = walk(t + 1)
@@ -171,7 +286,7 @@ def _walk(ev: Evaluator, order, record, exhaustive: bool = True, goal=None):
             del scored[firsts.index(threshold) + 1 :]
         if records[t]:
             merged = set()
-            for s, pairs in enumerate(scored):
+            for s, pairs in zip(kept, scored):
                 for u, oid in pairs:
                     if u >= threshold:
                         final, rest = finals[oid]

@@ -219,6 +219,19 @@ OWN_WEIGHT = Instance.build(
     [("a1", 1, [[0], [1]]), ("a2", 1, [[1], [2]])],
 )
 
+# No profile covers all three nodes, so the optimum scan never meets its
+# cover bound (6) and must run to its last entry, the optimum 5.
+COVER_UNREACHED = Instance.build(
+    [("q1", 1), ("q2", 2), ("q3", 3)],
+    [("a1", 1, [[0], [1]]), ("a2", 1, [[0], [2]])],
+)
+# Four profiles cover every node, two of them with a1 on q1; the scan stops
+# at the first, (0, 0), which must stay the witness.
+COVER_TIES = Instance.build(
+    [("q1", 1), ("q2", 1), ("q3", 1)],
+    [("a1", 1, [[0], [1]]), ("a2", 1, [[1, 2], [2], [0, 1, 2]])],
+)
+
 
 def brute_force_report(inst):
     """The report from a plain product scan in exact fractions."""
@@ -259,6 +272,8 @@ def brute_force_report(inst):
 @example(TWO_ROUNDS)
 @example(TWO_ROUNDS_MIRRORED)
 @example(OWN_WEIGHT)
+@example(COVER_UNREACHED)
+@example(COVER_TIES)
 def test_kernel_matches_brute_force(inst):
     expected = brute_force_report(inst)
     assert analyze(inst) == expected

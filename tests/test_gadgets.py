@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import isqrt
@@ -38,7 +39,7 @@ from cag import (
     utility,
     validate_instance,
 )
-from cag import gadgets
+from cag import gadgets, io
 from cag.gadgets import first_primes
 
 
@@ -470,3 +471,26 @@ def test_unionize_round_trip_and_perfect_matching():
 def test_unionize_requires_unit_components(example1):
     with pytest.raises(ValueError, match="hypothesis violated"):
         unionize_strategies(example1)
+
+
+@pytest.mark.parametrize("build", [unionize_strategies, symmetrize_weighted])
+def test_shared_space_size_check_counts_the_written_document(monkeypatch, build):
+    """The nodes, agents, strategies and strategy entries that the builder
+    passes to `check_build_size` are those of the document the command line
+    writes, read back: every agent writes the whole shared list."""
+    calls = []
+    monkeypatch.setattr(gadgets, "check_build_size", lambda *a: calls.append(a[1:]))
+    for seed in range(6):
+        inst = gen_random("s-asymmetric", seed=seed, num_nodes=2 + seed % 3,
+                          num_agents=1 + seed % 3, num_strategies=1 + seed % 4,
+                          max_strategy_size=2)
+        calls.clear()
+        doc = json.loads(io.dumps_reduction(build(inst)))["instance"]
+        agents = doc["agents"]
+        written = (
+            len(doc["nodes"]),
+            len(agents),
+            sum(len(a["strategies"]) for a in agents),
+            sum(len(s) for a in agents for s in a["strategies"]),
+        )
+        assert calls == [written], seed

@@ -837,6 +837,19 @@ def _with(key, value) -> dict:
     return {**_UNIT_INSTANCE, key: value}
 
 
+def _crowd(agents: int, nodes: int, strategies: int) -> dict:
+    """A unit instance whose `agents` agents each choose one of the first
+    `strategies` of its `nodes` nodes."""
+    space = [[f"q{j + 1}"] for j in range(strategies)]
+    return {
+        "nodes": [{"id": f"q{j + 1}", "value": 1} for j in range(nodes)],
+        "agents": [
+            {"id": f"a{i + 1}", "weight": 1, "strategies": space}
+            for i in range(agents)
+        ],
+    }
+
+
 # (command, file contents, the one refusal line after "cag: ")
 _MALFORMED = [
     ("profile", {"choices": 3}, "profile choices must be a list, got 3"),
@@ -932,6 +945,9 @@ def test_cli_refuses_malformed_file_with_one_line(
           "--agents", "3000000", "--strategies", "1"], None),
         (["gadget", "poa-lb", "--n", "1500000", "--m", "1"], None),
         (["gadget", "tqbf", "FILE"], {"vars": 1_500_001, "clauses": [[1, 2, 3]]}),
+        # small files whose every agent writes the whole shared list
+        (["gadget", "unionize", "FILE"], _crowd(110, 110, 8)),
+        (["gadget", "symmetrize", "FILE"], _crowd(3000, 1, 1)),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )

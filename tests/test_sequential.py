@@ -22,6 +22,7 @@ from cag import (
     spoa,
     utility,
 )
+from cag.engine import Evaluator
 
 
 def brute_force_spe_outcomes(game: SequentialGame) -> set[tuple[int, ...]]:
@@ -273,6 +274,18 @@ LATER_MOVER_BEST_DROPPED = _game([6, 4, 10, 1], [[(0,), (1, 2)], [(2,), (3,)]])
 DEPTHS_SHARE_LOADS = _game([1, 1], [[(1,), (0, 1)], [(1,), (0,)], [(1,), (0,)]])
 
 
+# The walk skips the first mover a1's q2 (worth 1 at best), and a1's best
+# case on (q1, q2), 1 + 1 with a2 away, ties its worst case on q3, 4/2 with
+# a2 there.  a2 takes q3 after either, so a1 gets 2 after both and the tie
+# must keep (q1, q2): its outcome gives a2 4, the other only 2.
+TIE_AT_FLOOR = _game([1, 1, 4], [[(0, 1), (2,), (1,)], [(1,), (2,)]])
+# The walk skips a2's q1 only after a1 takes q1: there q1 pays a2 4/2 at
+# best (a3 may stay away), less than (q1, q2) pays at worst (4/3 + 4/2);
+# after a1 takes q2, q1 pays 4 at best and stays.  None of the first
+# mover's choices can be skipped, so the walk tests a2's states and not a1's.
+SKIPPED_BY_PREFIX = _game([4, 4], [[(0,), (1,)], [(0,), (0, 1)], [(0,), (1,)]])
+
+
 def brute_force_optimum(inst: Instance) -> int:
     """The optimal welfare by a plain scan of every profile."""
     return max(
@@ -291,6 +304,8 @@ def brute_force_optimum(inst: Instance) -> int:
 @example(FIRST_MOVER_BEST_SECOND)
 @example(LATER_MOVER_BEST_DROPPED)
 @example(DEPTHS_SHARE_LOADS)
+@example(TIE_AT_FLOOR)
+@example(SKIPPED_BY_PREFIX)
 def test_memoized_walk_matches_exhaustive_reference(game):
     """spoa and spe_decision against `Fraction` backward induction and a
     plain optimum scan, with every agent queried: singleton-space agents and
@@ -347,6 +362,8 @@ def _pairs(outcomes):
 @given(colliding_games())
 @example(SWAPPED_CHOICES)
 @example(DEPTHS_SHARE_LOADS)
+@example(TIE_AT_FLOOR)
+@example(SKIPPED_BY_PREFIX)
 def test_spe_solve_matches_fraction_backward_induction(game):
     """spe_solve's root outcomes in both modes against the oracle."""
     achievable, first = fraction_backward_induction(game)
@@ -368,6 +385,22 @@ def test_spe_solve_on_a_family_game_of_seven_agents():
     assert Fraction(opt, worst) == spoa(game) == Fraction(13, 7)
     (deterministic,) = spe_solve(game, mode="deterministic").outcomes
     assert deterministic in exhaustive.outcomes
+
+
+def test_spoa_walk_skips_choices_that_are_never_kept(monkeypatch):
+    """On the seven-agent family game the walk scores the last mover's row
+    7 times; without skipping the choices whose best case is below another
+    choice's worst case it would score it 924 times."""
+    rows = []
+    join_row = Evaluator.join_row
+
+    def counted(ev, loads, agent):
+        rows.append(agent)
+        return join_row(ev, loads, agent)
+
+    monkeypatch.setattr(Evaluator, "join_row", counted)
+    assert spoa(build_named_instance("spoa-family", m=7)) == Fraction(13, 7)
+    assert len(rows) <= 16
 
 
 def test_calls_leave_no_cyclic_garbage():
