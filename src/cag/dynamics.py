@@ -56,7 +56,13 @@ from fractions import Fraction
 from functools import partial
 
 from .engine import Evaluator
-from .model import Instance, StrategyProfile, check_profile, exact_number
+from .model import (
+    Instance,
+    StrategyProfile,
+    check_index,
+    check_profile,
+    exact_number,
+)
 from .potentials import harmonic_numbers
 
 __all__ = [
@@ -111,8 +117,7 @@ def best_response(
     better strategies, ties break to the smallest index.
     """
     check_profile(inst, profile)
-    if not 0 <= agent < inst.num_agents:
-        raise IndexError(f"agent index {agent} out of range")
+    check_index(agent, inst.num_agents, "agent index")
     ev = Evaluator(inst)
     choices = profile.choices
     loads = ev.loads(choices)

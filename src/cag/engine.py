@@ -17,14 +17,16 @@ over the strategy's nodes.  Every scoring loop forms the sum from
 exact because w * (a + b) = w * a + w * b; no per-strategy table of
 weighted terms is kept.  `deviation_scaled` is the one loop that scores
 an agent at one strategy with the others fixed, its own choice included;
-`join_row` scores a whole row.  `live` only compares scores of one agent,
-so it leaves the weight out.
+`join_row` scores a whole row.
 
-The engine also owns the welfare optimum, `optimum`: one pass over
-covered-node bitmasks, whose layers hold no more masks than
-`equilibria._walk` has orbit representatives at the same depth.  It also
-owns the strategies that walk visits, `live`: what iterated strict
-dominance leaves, scored with `share` at best- and worst-case loads.
+`undominated` owns the dominance bound behind every pruned search: it
+keeps the strategies whose best case reaches the largest worst case, both
+scored with `share` at loads the caller bounds.  `live` iterates it into
+the strategies `equilibria._walk` visits, and the sequential walk skips
+with it the choices no mode could keep.  The engine also owns the welfare
+optimum, `optimum`: one pass over covered-node bitmasks, whose layers hold
+no more masks than `equilibria._walk` has orbit representatives at the
+same depth.
 
 The engine is read-only after construction and safe to share.
 """
@@ -32,6 +34,7 @@ The engine is read-only after construction and safe to share.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from .model import DEFAULT_BUDGET, BudgetError, Instance, validate_instance
@@ -44,6 +47,7 @@ class Evaluator:
 
     def __init__(self, inst: Instance):
         """Raises ValueError, worded by `validate_instance`, on no agents, a
+        value, weight or node index that is not an int (`model.is_int`), a
         non-positive value or weight, an empty strategy space or strategy, a
         strategy naming a node twice, or a node index out of range; the
         remaining `validate_instance` checks do not affect evaluation.
@@ -61,9 +65,12 @@ class Evaluator:
         ]
         attracts = [set().union(*space) for space in self.spaces]
         every = set().union(*attracts)
+        # a float or bool number would be indexed or shifted as an int, and
         # a node listed twice would count twice in a load, once in `reach`
+        kinds = {*map(type, chain(self.weights, self.values, *chain(*self.spaces)))}
         if not (
-            self.weights
+            all(k is not bool and issubclass(k, int) for k in kinds)
+            and self.weights
             and min(self.weights) >= 1
             and min(self.values, default=1) >= 1
             and all(self.spaces)
@@ -184,24 +191,54 @@ class Evaluator:
                     loads[j] += w
         return loads, [0] * self.num_agents, active
 
+    def undominated(self, agent: int, options, hi, lo) -> list[int]:
+        """The strategies of `options`, in their order, whose best case is
+        at least the largest worst case among `options`.
+
+        At every node j of an option, ``hi[j]`` and ``lo[j]`` are the least
+        and the most load the agent, its own weight included, can meet:
+        its load in the high, or best, case and in the low, or worst, case.
+        Both must be loads at which `share` is nonzero, as subset sums of
+        j's attractors are.  The best case of s is the sum over j in s of
+        v_j * share[hi[j]], the worst case the same sum with lo[j] for
+        hi[j].  `share` falls as the load grows, so s pays the agent at
+        most w times its best case and t at least w times its worst case,
+        where w is its weight.  s is dropped only when its best case is
+        strictly below some worst case: then, at any loads within the
+        bounds, t pays the agent more than s does, so s is in no
+        equilibrium and meets no threshold that t sets.  A tie keeps s,
+        which may meet such a threshold exactly.  Both cases leave out the
+        factor w > 0, which keeps their order."""
+        values, share, space = self.values, self.share, self.spaces[agent]
+        floor = 0
+        for t in options:
+            u = 0
+            for j in space[t]:
+                u += values[j] * share[lo[j]]
+            if u > floor:
+                floor = u
+        kept = []
+        for s in options:
+            u = 0
+            for j in space[s]:
+                u += values[j] * share[hi[j]]
+            if u >= floor:
+                kept.append(s)
+        return kept
+
     def live(self, classes) -> list[list[int]]:
         """Each agent's live strategies, ascending: its space after iterated
-        strict dominance, scored with `share`.
+        strict dominance (`undominated`).
 
-        For agent i of weight w, the best case of a live strategy s is
-        the sum over j in s of w * v_j * share[F_j + w], where F_j weighs
-        the other agents whose every live strategy holds j; the worst case
-        uses M_j + w instead, where M_j weighs the other agents with some
-        live strategy through j.  Both loads are subset sums of j's
-        attractors, so `share` is nonzero at both.  s is dropped when the
-        worst case of some live strategy of i strictly exceeds the best
-        case of s: then every live profile of the others pays i more
-        there, so s is never a best response.  Rounds repeat until nothing
-        is dropped.  `classes` lists interchangeable agents; each class is
-        scored once per round, through its first member, so members keep
-        equal lists."""
-        weights, values, share = self.weights, self.values, self.share
-        spaces, sets = self.spaces, self.space_sets
+        For agent i of weight w, the least load at a node j is w plus
+        F_j, the weight of the other agents whose every live strategy
+        holds j; the most is M_j, the weight of the agents with some live
+        strategy through j, i itself included.  Every live profile of the
+        others lies between the two, so a dropped strategy is never a best
+        response.  Rounds repeat until nothing is dropped.  `classes`
+        lists interchangeable agents; each class is scored once per round,
+        through its first member, so members keep equal lists."""
+        weights, sets = self.weights, self.space_sets
         live = [list(range(len(space))) for space in self.spaces]
         changed = True
         while changed:
@@ -222,24 +259,10 @@ class Evaluator:
                 i = members[0]
                 if len(live[i]) == 1:
                     continue
+                # held_all already counts i at the nodes every live choice holds
                 w, own = weights[i], every[i]
-                # both cases leave out the factor w > 0, which keeps the order
-                worst = 0
-                for t in live[i]:
-                    u = 0
-                    for j in spaces[i][t]:
-                        u += values[j] * share[held_any[j]]
-                    if u > worst:
-                        worst = u
-                # held_all already counts i at the nodes of `own`
-                keep = []
-                for s in live[i]:
-                    u = 0
-                    for j in spaces[i][s]:
-                        c = held_all[j] if j in own else held_all[j] + w
-                        u += values[j] * share[c]
-                    if u >= worst:
-                        keep.append(s)
+                least = [c if j in own else c + w for j, c in enumerate(held_all)]
+                keep = self.undominated(i, live[i], least, held_any)
                 if len(keep) < len(live[i]):
                     changed = True
                     for k in members:

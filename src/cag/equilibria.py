@@ -16,21 +16,18 @@ the expanded list is sorted; reports are the same as a full scan of the
 profile space would give, and `profiles_scanned` is the size of that space.
 
 The walk visits only live strategies, those left by iterated strict
-dominance (`Evaluator.live`).  An agent's strategy s is dropped when some
-other live strategy t pays it more even at t's worst (every other agent
-that has a live strategy through a node of t is there) than s pays at its
-best (only the other agents whose every live strategy holds the node are
-there); both sides count the agent's own weight.  Then s is no best
-response to any live profile of the others, so no equilibrium plays it.
+dominance (`Evaluator.live`, which bounds each agent's loads by the other
+agents whose every, or some, live strategy holds a node and drops what
+`Evaluator.undominated` drops): no equilibrium plays a dropped strategy.
 Dropping strictly dominated strategies keeps the set of pure Nash
 equilibria, and the order of elimination does not change the result
 (Knuth, Papadimitriou & Tsitsiklis, Oper. Res. Lett. 7, 1988; Gilboa,
 Kalai & Zemel, Math. Oper. Res. 18, 1993).  The leaf test still checks
 every strategy, the optimum is taken over the full spaces, and choices
-keep their original indices.  The sequential walk (`sequential`) prunes by
-its own rule: it compares a mover's choices at each state's actual loads,
-so a subgame off the equilibrium path, which may hold an eliminated
-earlier choice, needs no argument of its own.
+keep their original indices.  The sequential walk (`sequential`) applies
+the same bound at each state's actual loads, so a subgame off the
+equilibrium path, which may hold an eliminated earlier choice, needs no
+argument of its own.
 
 Only the last choosing agent's best responses are placed.  Once every other
 agent is placed, that agent's utility under each of its strategies is fixed

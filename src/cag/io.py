@@ -25,7 +25,7 @@ from fractions import Fraction
 from .dynamics import DynamicsStep, DynamicsTrace
 from .equilibria import EquilibriumReport
 from .gadgets import CutGraph, ReductionOutput, ThreeDMInstance, TqbfFormula
-from .model import Agent, Instance, Node, StrategyProfile
+from .model import Agent, Instance, Node, StrategyProfile, is_int
 from .sequential import SequentialGame, SpeOutcome, SpeResult
 
 __all__ = [
@@ -171,10 +171,11 @@ def loads_instance(text: str) -> Instance:
 
 
 def _int(value, what: str, positive: bool = False) -> int:
-    """`value` itself if it is an int, and at least 1 if `positive`; floats,
-    strings and bools are rejected rather than coerced.  The loaders check
-    only the type where the object they build checks ranges."""
-    if isinstance(value, bool) or not isinstance(value, int) or positive and value < 1:
+    """`value` itself if it is an int (`model.is_int`), and at least 1 if
+    `positive`; anything else is rejected rather than coerced.  The
+    loaders check only the type where the object they build checks
+    ranges."""
+    if not is_int(value) or positive and value < 1:
         kind = "a positive integer" if positive else "an integer"
         raise ValueError(f"{what} must be {kind}, got {value!r}")
     return value

@@ -109,6 +109,21 @@ def exact_number(value, name: str) -> Fraction:
     return Fraction(value)
 
 
+def is_int(value) -> bool:
+    """True for an int that is not a bool: floats, strings and bools are
+    refused, not coerced, wherever an integer is read."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_index(value, size: int, what: str, error: type = IndexError) -> None:
+    """Raise `error` naming `what` unless `value` is an int (`is_int`) in
+    ``range(size)``."""
+    if not is_int(value):
+        raise error(f"{what} must be an integer, got {value!r}")
+    if not 0 <= value < size:
+        raise error(f"{what} {value} out of range")
+
+
 @dataclass(frozen=True)
 class Node:
     id: str
@@ -211,15 +226,15 @@ def check_profile(inst: Instance, profile: StrategyProfile) -> None:
             f"instance has {inst.num_agents} agents"
         )
     for i, (choice, agent) in enumerate(zip(profile.choices, inst.agents)):
-        if not 0 <= choice < len(agent.strategies):
-            raise ValueError(f"agent {i}: strategy index {choice} out of range")
+        check_index(
+            choice, len(agent.strategies), f"agent {i}: strategy index", ValueError
+        )
 
 
 def load(inst: Instance, profile: StrategyProfile, node: int) -> int:
     """Total weight of the agents attracting `node` under `profile`."""
     check_profile(inst, profile)
-    if not 0 <= node < inst.num_nodes:
-        raise IndexError(f"node index {node} out of range")
+    check_index(node, inst.num_nodes, "node index")
     total = 0
     for agent, choice in zip(inst.agents, profile.choices):
         if node in agent.strategies[choice]:
@@ -240,8 +255,7 @@ def utility(inst: Instance, profile: StrategyProfile, agent: int) -> Fraction:
     """Exact expected value captured by `agent`: for every attracted node,
     its value times the agent's weight share of the node's load."""
     check_profile(inst, profile)
-    if not 0 <= agent < inst.num_agents:
-        raise IndexError(f"agent index {agent} out of range")
+    check_index(agent, inst.num_agents, "agent index")
     loads = _all_loads(inst, profile)
     a = inst.agents[agent]
     total = Fraction(0)
@@ -286,7 +300,9 @@ def validate_instance(inst: Instance) -> ValidationReport:
         if node.id in seen_node_ids:
             errors.append(f"duplicate node id {node.id!r}")
         seen_node_ids.add(node.id)
-        if node.value < 1:
+        if not is_int(node.value):
+            errors.append(f"node {node.id!r}: value {node.value!r} is not an integer")
+        elif node.value < 1:
             errors.append(f"node {node.id!r}: non-positive value {node.value}")
     # a welfare, at most the total value, past `int()`'s digit limit could
     # not be written as text, nor could a total weight in a refusal.
@@ -294,8 +310,8 @@ def validate_instance(inst: Instance) -> ValidationReport:
     # computing the power of ten
     limit = sys.get_int_max_str_digits()
     totals = {
-        "node values": sum(node.value for node in inst.nodes),
-        "agent weights": sum(agent.weight for agent in inst.agents),
+        "node values": sum(n.value for n in inst.nodes if is_int(n.value)),
+        "agent weights": sum(a.weight for a in inst.agents if is_int(a.weight)),
     }
     for what, total in totals.items():
         if limit and total >= 1 << 3 * limit and total >= 10**limit:
@@ -309,13 +325,22 @@ def validate_instance(inst: Instance) -> ValidationReport:
         if agent.id in seen_agent_ids:
             errors.append(f"duplicate agent id {agent.id!r}")
         seen_agent_ids.add(agent.id)
-        if agent.weight < 1:
+        if not is_int(agent.weight):
+            errors.append(
+                f"agent {agent.id!r}: weight {agent.weight!r} is not an integer"
+            )
+        elif agent.weight < 1:
             errors.append(f"agent {agent.id!r}: non-positive weight {agent.weight}")
         if not agent.strategies:
             errors.append(f"agent {agent.id!r}: empty strategy space")
         for k, strategy in enumerate(agent.strategies):
             if not strategy:
                 errors.append(f"agent {agent.id!r} strategy {k}: empty strategy")
+            if not all(map(is_int, strategy)):
+                errors.append(
+                    f"agent {agent.id!r} strategy {k}: node index not an integer"
+                )
+                continue
             if any(not 0 <= j < inst.num_nodes for j in strategy):
                 errors.append(
                     f"agent {agent.id!r} strategy {k}: node index out of range"

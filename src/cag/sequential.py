@@ -32,35 +32,28 @@ all its choices is always worth that much, so its best at the root is its
 best over all its choices.  If no choice reaches the threshold, no root
 outcome does, so that mover's choice needs no record.
 
-At each state of every mover but the last, the walk skips the choices that
-no mode could keep.  Let L be the state's loads, w the mover's weight, and
-F(j) and M(j) the weight of the later movers whose every, or some,
-strategy holds node j.  After choice s the final load at a node j of s lies
-between L_j + w + F(j) and L_j + w + M(j), and `share` falls as the load
-grows, so every outcome after s pays the mover at most w * hi(s), with
-hi(s) the sum over j in s of v_j * share[L_j + w + F(j)], and every
-outcome after u at least w * lo(u), lo(u) the sum over j in u of
-v_j * share[L_j + w + M(j)].  Both loads are subset sums of j's
-attractors (the earlier movers and single-strategy agents on j, the mover,
-and later movers through j), so `share` is nonzero at both.  A choice s
-with hi(s) below the largest lo(u) is skipped:
+At each state of every mover but the last, the walk skips the choices
+that `Evaluator.undominated` drops.  Let L be the state's loads, w the
+mover's weight, and F(j) and M(j) the weight of the later movers whose
+every, or some, strategy holds node j.  After a choice through j the final
+load at j lies between L_j + w + F(j) and L_j + w + M(j), both subset sums
+of j's attractors, and the walk passes those two loads.  Every outcome
+after a dropped choice s then pays the mover less than every outcome after
+some choice u, so:
 
 * exhaustive mode keeps only outcomes worth the threshold, the largest
-  over choices of the worst outcome after each, which is at least lo(u)
-  times w; every outcome after s is worth less, and s never sets it;
+  over choices of the worst outcome after each, which is at least u's
+  worst; no outcome after s meets it, and s never sets it;
 * deterministic mode keeps the first child best for the mover, and s's
   child pays it less than u's;
 * with `goal`, an outcome after s worth the goal would make every outcome
   after u worth it too, so the root stops, or not, as it would have.
 
-A choice with hi(s) equal to the largest lo(u) stays: an outcome after it
-may meet the threshold exactly.  The test reads the state's own loads, so,
-unlike `Evaluator.live`'s, it holds in every subgame, off the equilibrium
-path too.  Before it starts, the walk marks the depths at which no state
-can skip a choice (`_cuts`), bounding hi from below with every earlier
-mover on each node it can hold, and lo from above with each earlier mover
-only on the nodes it must hold; it tests only the other depths.  The mark
-is only a shortcut: the per-state test alone decides what is skipped.
+The test reads the state's own loads, so, unlike `Evaluator.live`'s, it
+holds in every subgame, off the equilibrium path too.  Before it starts,
+the walk marks the depths at which no state can skip a choice (`_cuts`)
+and tests only the other depths.  The mark is only a shortcut: the
+per-state test alone decides what is skipped.
 
 The walk places single-strategy movers once, before it starts, since those
 movers make no decision.  Every entry point first refuses, with
@@ -74,6 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .engine import Evaluator
 from .model import (
@@ -81,7 +75,9 @@ from .model import (
     Instance,
     StrategyProfile,
     check_budget,
+    check_index,
     exact_number,
+    is_int,
 )
 
 __all__ = [
@@ -101,7 +97,8 @@ class SequentialGame:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "order", tuple(self.order))
-        if sorted(self.order) != list(range(self.instance.num_agents)):
+        n = self.instance.num_agents
+        if not all(map(is_int, self.order)) or sorted(self.order) != list(range(n)):
             raise ValueError("order must be a permutation of the agent indices")
 
     @classmethod
@@ -127,12 +124,13 @@ def _cuts(ev: Evaluator, placed, active):
     state's loads: ``hi[j]`` and ``lo[j]`` are the mover's weight plus the
     weight of the later movers whose every, or some, strategy holds node j.
 
-    A depth is None when every choice's best case, with each earlier mover
-    on every node it can hold, is at least every choice's worst case with
-    each earlier mover only on the nodes it must hold; that bounds every
-    state of the depth.  Each mover's intersection and union are formed
-    once, and the offsets only at the depths that need them."""
-    weights, values, share, sets = ev.weights, ev.values, ev.share, ev.space_sets
+    A depth is None when `Evaluator.undominated` drops nothing with each
+    earlier mover on every node it can hold in the best case and only on
+    the nodes it must hold in the worst: those loads bound the best and
+    the worst case of every state of the depth.  Each mover's
+    intersection and union are formed once, and the offsets only at the
+    depths that need them."""
+    weights, sets = ev.weights, ev.space_sets
     every = [frozenset.intersection(*sets[i]) for i in active]
     some = [frozenset.union(*sets[i]) for i in active]
     # At depth t and a node j of the mover, hi_load[j] weighs the mover, the
@@ -150,23 +148,11 @@ def _cuts(ev: Evaluator, placed, active):
     need = [False] * len(active)
     for t in range(len(active) - 1):
         mover = active[t]
-        w, space, loose = weights[mover], ev.spaces[mover], some[t] - every[t]
+        w, loose = weights[mover], some[t] - every[t]
         for j in loose:
             hi_load[j] += w
-        floor = 0
-        for nodes in space:
-            u = 0
-            for j in nodes:
-                u += values[j] * share[lo_load[j]]
-            if u > floor:
-                floor = u
-        for nodes in space:
-            u = 0
-            for j in nodes:
-                u += values[j] * share[hi_load[j]]
-            if u < floor:
-                need[t] = True
-                break
+        options = range(len(sets[mover]))
+        need[t] = len(ev.undominated(mover, options, hi_load, lo_load)) < len(options)
         for j in loose:
             lo_load[j] -= w
     cuts = [None] * len(active)
@@ -239,23 +225,11 @@ def _walk(ev: Evaluator, order, record, exhaustive: bool = True, goal=None):
         space = spaces[mover]
         kept = range(len(space))
         if cuts[t] is not None:
-            # Skip each choice whose best case is below some choice's worst
-            # case: none of its outcomes could meet the mover's threshold.
+            # skip the choices none of whose outcomes could meet the
+            # mover's threshold
             hi, lo = cuts[t]
-            floor = 0
-            for nodes in space:
-                u = 0
-                for j in nodes:
-                    u += values[j] * share[loads[j] + lo[j]]
-                if u > floor:
-                    floor = u
-            kept = []
-            for s, nodes in enumerate(space):
-                u = 0
-                for j in nodes:
-                    u += values[j] * share[loads[j] + hi[j]]
-                if u >= floor:
-                    kept.append(s)
+            hi, lo = [*map(add, loads, hi)], [*map(add, loads, lo)]
+            kept = ev.undominated(mover, kept, hi, lo)
         scored = []  # per kept choice: (mover's utility, outcome id) pairs
         for s in kept:
             nodes = space[s]
@@ -342,8 +316,7 @@ def spe_decision(
 ) -> bool:
     """True iff some subgame-perfect outcome gives `agent` utility at least
     `threshold`."""
-    if not 0 <= agent < game.instance.num_agents:
-        raise IndexError(f"agent index {agent} out of range")
+    check_index(agent, game.instance.num_agents, "agent index")
     threshold = exact_number(threshold, "threshold")
     check_budget(game.instance, budget)
     ev = Evaluator(game.instance)

@@ -15,6 +15,7 @@ from cag import (
     SequentialGame,
     StrategyProfile,
     analyze,
+    best_response,
     classify_symmetry,
     is_approx_pne,
     load,
@@ -311,12 +312,19 @@ def test_degenerate_instances_rejected(values, agents, error):
             run(inst)
 
 
+def _integer(value) -> bool:
+    return type(value) is int
+
+
 def _evaluable(inst) -> bool:
-    """The seven rules `Evaluator` has enforced since it first refused
-    instances, written out independently of the engine."""
+    """The rules `Evaluator` enforces, written out independently of the
+    engine: every number an int, not a float or bool; then the seven rules
+    it has enforced since it first refused instances."""
     strategies = [s for a in inst.agents for s in a.strategies]
+    numbers = [n.value for n in inst.nodes] + [a.weight for a in inst.agents]
     return (
-        len(inst.agents) > 0
+        all(map(_integer, numbers + [j for s in strategies for j in s]))
+        and len(inst.agents) > 0
         and all(node.value >= 1 for node in inst.nodes)
         and all(a.weight >= 1 for a in inst.agents)
         and all(len(a.strategies) > 0 for a in inst.agents)
@@ -327,19 +335,45 @@ def _evaluable(inst) -> bool:
 
 
 BREAKS = ("weight", "value", "space", "strategy", "repeat", "range",
-          "agents", "nodes", "order", "id")
+          "agents", "nodes", "order", "id", "float", "bool")
+
+
+def _not_an_int(draw, kind: str, number: int):
+    """`number` as a float, integral or not, or as a bool."""
+    if kind == "bool":
+        return bool(number)
+    return number + draw(st.sampled_from((0.0, 0.5)))
 
 
 @st.composite
 def broken_instances(draw):
     """Small valid instances with up to two fields broken: a weight or value
     of 0 or -1, an empty space or strategy, a repeated or out-of-range node,
-    no agents or no nodes; or an unsorted strategy or a repeated agent id,
-    which evaluation does not mind."""
+    no agents or no nodes, or a value, weight or node index that is a float
+    or a bool; or an unsorted strategy or a repeated agent id, which
+    evaluation does not mind."""
     inst = draw(instances())
     nodes, agents = list(inst.nodes), list(inst.agents)
     for field in draw(st.lists(st.sampled_from(BREAKS), max_size=2)):
-        if field == "nodes":
+        if field in ("float", "bool"):
+            target = draw(st.sampled_from(("value", "weight", "index")))
+            if target == "value" and nodes:
+                j = draw(st.integers(0, len(nodes) - 1))
+                value = _not_an_int(draw, field, nodes[j].value)
+                nodes[j] = Node(nodes[j].id, value)
+            elif agents:
+                i = draw(st.integers(0, len(agents) - 1))
+                a = agents[i]
+                name, weight, spaces = a.id, a.weight, list(a.strategies)
+                if target == "weight":
+                    weight = _not_an_int(draw, field, weight)
+                elif spaces and spaces[0]:
+                    k = draw(st.integers(0, len(spaces[0]) - 1))
+                    s = list(spaces[0])
+                    s[k] = _not_an_int(draw, field, s[k])
+                    spaces[0] = tuple(s)
+                agents[i] = Agent(name, weight, tuple(spaces))
+        elif field == "nodes":
             nodes = []
         elif field == "agents":
             agents = []
@@ -430,3 +464,39 @@ def test_entry_points_refuse_non_finite_numbers_by_name(name, call, value):
     inst = Instance.build([("q1", 1), ("q2", 2)], [("a1", 1, [[0], [1]])])
     with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
         call(inst, StrategyProfile((0,)), value)
+
+
+# (entry point, a call passing `index` where it reads an index, the refusal)
+_INDEX_ENTRY_POINTS = [
+    ("profile-choice", lambda inst, i: utility(inst, StrategyProfile((0, i)), 0),
+     ValueError, "agent 1: strategy index must be an integer"),
+    ("order", lambda inst, i: SequentialGame(inst, (i, 0)),
+     ValueError, "order must be a permutation of the agent indices"),
+    ("utility-agent", lambda inst, i: utility(inst, StrategyProfile((0, 0)), i),
+     IndexError, "agent index must be an integer"),
+    ("best_response-agent",
+     lambda inst, i: best_response(inst, StrategyProfile((0, 0)), i),
+     IndexError, "agent index must be an integer"),
+    ("spe_decision-agent",
+     lambda inst, i: spe_decision(SequentialGame.natural(inst), i, 1),
+     IndexError, "agent index must be an integer"),
+    ("load-node", lambda inst, i: load(inst, StrategyProfile((0, 0)), i),
+     IndexError, "node index must be an integer"),
+]
+
+
+@pytest.mark.parametrize("index", [1.0, True, "1"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize(
+    "call, error, text", [e[1:] for e in _INDEX_ENTRY_POINTS],
+    ids=[e[0] for e in _INDEX_ENTRY_POINTS],
+)
+def test_index_arguments_must_be_ints(call, error, text, index):
+    """Where the int 1 is a valid index, a float, bool or string equal to
+    it is refused as the loaders refuse it, neither coerced nor left to
+    raise TypeError."""
+    inst = Instance.build(
+        [("q1", 1), ("q2", 2)], [("a1", 1, [[0], [1]]), ("a2", 1, [[0], [1]])]
+    )
+    call(inst, 1)
+    with pytest.raises(error, match=f"^{text}"):
+        call(inst, index)

@@ -2,9 +2,10 @@ import gc
 import itertools
 from fractions import Fraction
 from functools import partial
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from cag import (
@@ -22,7 +23,9 @@ from cag import (
     spoa,
     utility,
 )
+from cag import sequential
 from cag.engine import Evaluator
+from cag.generators import GENERATOR_KINDS
 
 
 def brute_force_spe_outcomes(game: SequentialGame) -> set[tuple[int, ...]]:
@@ -401,6 +404,82 @@ def test_spoa_walk_skips_choices_that_are_never_kept(monkeypatch):
     monkeypatch.setattr(Evaluator, "join_row", counted)
     assert spoa(build_named_instance("spoa-family", m=7)) == Fraction(13, 7)
     assert len(rows) <= 16
+
+
+def _offsets_at_every_depth(ev, placed, active):
+    """What `sequential._cuts` returns with no depth marked: at every depth
+    but the last, the mover's weight plus the weight of the later movers
+    whose every, or some, strategy holds each node."""
+    cuts = [None] * len(active)
+    held_all = [0] * ev.num_nodes
+    held_any = [0] * ev.num_nodes
+    for t in reversed(range(len(active))):
+        w = ev.weights[active[t]]
+        if t < len(active) - 1:
+            cuts[t] = ([w + c for c in held_all], [w + c for c in held_any])
+        space = ev.space_sets[active[t]]
+        for j in frozenset.intersection(*space):
+            held_all[j] += w
+        for j in frozenset.union(*space):
+            held_any[j] += w
+    return cuts
+
+
+def _walk_trace(game: SequentialGame, exhaustive: bool):
+    """The walk's root outcomes and how many rows it scores."""
+    ev = Evaluator(game.instance)
+    rows = []
+    join_row = ev.join_row
+
+    def counted(loads, agent):
+        rows.append(agent)
+        return join_row(loads, agent)
+
+    ev.join_row = counted
+    roots, finals = sequential._walk(ev, game.order, game.order, exhaustive)
+    return sorted(finals[o] for o in roots), len(rows)
+
+
+@st.composite
+def generated_games(draw):
+    """Games of every generator kind with at most 5 nodes, 4 agents and 3
+    strategies each, weights up to 6, in a shuffled move order."""
+    try:
+        inst = gen_random(
+            draw(st.sampled_from(GENERATOR_KINDS)),
+            draw(st.integers(0, 2**32)),
+            num_nodes=draw(st.integers(1, 5)),
+            num_agents=draw(st.integers(1, 4)),
+            num_strategies=draw(st.integers(1, 3)),
+            max_weight=6,
+        )
+    except ValueError:  # too few nodes to make the spaces differ
+        reject()
+    order = draw(st.permutations(range(inst.num_agents)))
+    return SequentialGame(inst, tuple(order))
+
+
+# After a1 takes (q1, q2), a2's q2 pays it at most 1/2 (a3 may stay off
+# q2), less than (q1, q2) pays at worst (1/3 + 1/3), so the walk skips it;
+# after a1 takes q1 alone, q2 pays 1 at best and stays.  The mark for a2's
+# depth must put a1 on q2, a node a1 can leave, in the best case, or it
+# marks the depth and a2 keeps q2 everywhere.
+EARLIER_LOOSE_NODE = _game(
+    [1, 1], [[(0,), (0, 1)], [(1,), (0, 1)], [(0, 1), (0,)]]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(generated_games())
+@example(EARLIER_LOOSE_NODE)
+def test_cuts_mark_only_depths_where_no_state_skips(game):
+    """`_cuts` is only a shortcut: with the per-state test run at every
+    depth but the last, the walk scores as many rows and keeps the same
+    root outcomes in both modes."""
+    for exhaustive in (True, False):
+        marked = _walk_trace(game, exhaustive)
+        with mock.patch.object(sequential, "_cuts", _offsets_at_every_depth):
+            assert _walk_trace(game, exhaustive) == marked
 
 
 def test_calls_leave_no_cyclic_garbage():
