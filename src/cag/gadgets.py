@@ -36,6 +36,7 @@ from .model import (
     Node,
     StrategyProfile,
     check_build_size,
+    is_int,
 )
 from .potentials import harmonic_numbers
 from .sequential import SequentialGame
@@ -66,10 +67,6 @@ __all__ = [
     "unionize_strategies",
 ]
 
-# the most agents `maxcut_to_cag` builds; one edge of weight 2^20 - 1 alone
-# needs 764,930
-_MAX_REDUCTION_AGENTS = 1_000_000
-
 
 @dataclass(frozen=True)
 class ReductionOutput:
@@ -82,6 +79,15 @@ class ReductionOutput:
 
 # ---------------------------------------------------------------------------
 # instance transforms
+
+
+def _check_ints(what: str, values) -> None:
+    """Raise ValueError naming `what` at the first of `values` that is not
+    an int (`model.is_int`): a float, bool or string is refused, not
+    coerced."""
+    for value in values:
+        if not is_int(value):
+            raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _fresh_id(taken: set[str], base: str) -> str:
@@ -423,6 +429,10 @@ class CutGraph:
         object.__setattr__(
             self, "edges", tuple(tuple(e) for e in self.edges)
         )
+        _check_ints("vertices", (self.num_vertices,))
+        for u, v, w in self.edges:
+            _check_ints("edge end", (u, v))
+            _check_ints("edge weight", (w,))
         for u, v, w in self.edges:
             if not (0 <= u < self.num_vertices and 0 <= v < self.num_vertices):
                 raise ValueError(f"edge ({u}, {v}) references a missing vertex")
@@ -470,31 +480,31 @@ def maxcut_to_cag(graph: CutGraph) -> ReductionOutput:
     w_bar = max(w for _, _, w in graph.edges)
     n = max(1, (w_bar - 1).bit_length())  # as in edge_gadget_terms
     # each of the first n primes p not dividing w_bar gets a nonzero term c/p,
-    # which pins (p - 1)(p - 2) |c| dummies: a bound that needs no decomposition
+    # which pins (p - 1)(p - 2) |c| dummies, each with one strategy of one
+    # node: a bound that needs no decomposition
     least = sum((p - 1) * (p - 2) for p in first_primes(n) if w_bar % p)
-    if least > _MAX_REDUCTION_AGENTS:
-        raise BudgetError(
-            f"search-space-too-large: the reduction needs at least {least} "
-            f"agents, more than {_MAX_REDUCTION_AGENTS}"
-        )
-    terms = {w: decompose_fraction(n, w).terms for w in {e[2] for e in graph.edges}}
-    # each edge pins d dummies to each node of a pair, for every d its gadget
-    # lists; a term c/b lists d = 0, ..., b - 2 |c| times (_expand_unit_fraction),
-    # so the count is known before any gadget is built
-    num_agents = graph.num_vertices + sum(
-        abs(c) * (b - 1) * (b - 2) for _, _, w in graph.edges for b, c in terms[w]
+    check_build_size("the max-cut reduction", 0, least, least, least)
+    # a term c/b lists |c| node pairs when b == 2 and |c| (b + 1) otherwise,
+    # and pins |c| (b - 1)(b - 2) dummies to them (_expand_unit_fraction);
+    # a pair puts one node in each strategy of both ends of its edge
+    pairs, pinned = {}, {}
+    for w in {e[2] for e in graph.edges}:
+        terms = decompose_fraction(n, w).terms
+        pairs[w] = sum(abs(c) * (1 if b == 2 else b + 1) for b, c in terms)
+        pinned[w] = sum(abs(c) * (b - 1) * (b - 2) for b, c in terms)
+    num_pairs = sum(pairs[w] for _, _, w in graph.edges)
+    num_dummies = sum(pinned[w] for _, _, w in graph.edges)
+    vertices = graph.num_vertices
+    check_build_size(
+        "the max-cut reduction", 2 * num_pairs, vertices + num_dummies,
+        2 * vertices + num_dummies, 4 * num_pairs + num_dummies,
     )
-    if num_agents > _MAX_REDUCTION_AGENTS:
-        raise BudgetError(
-            f"search-space-too-large: the reduction needs {num_agents} "
-            f"agents, more than {_MAX_REDUCTION_AGENTS}"
-        )
     touched = {x for u, v, _ in graph.edges for x in (u, v)}
     isolated = [i for i in range(graph.num_vertices) if i not in touched]
     if isolated:
         raise ValueError(f"isolated vertices not supported: {isolated}")
 
-    gadget_cache = {w: edge_gadget_terms(w_bar, w) for w in terms}
+    gadget_cache = {w: edge_gadget_terms(w_bar, w) for w in pairs}
 
     nodes: list[Node] = []
     dummies: list[Agent] = []
@@ -579,6 +589,9 @@ class ThreeDMInstance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "triples", tuple(tuple(t) for t in self.triples))
+        _check_ints("n", (self.n,))
+        for t in self.triples:
+            _check_ints("triple coordinate", t)
         if self.n < 1:
             raise ValueError("n must be >= 1")
         for t in self.triples:
@@ -700,6 +713,9 @@ class TqbfFormula:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
+        _check_ints("vars", (self.num_vars,))
+        for clause in self.clauses:
+            _check_ints("literal", clause)
         if self.num_vars < 1:
             raise ValueError("num_vars must be >= 1")
         for clause in self.clauses:
@@ -733,7 +749,8 @@ def oracle_tqbf(formula: TqbfFormula) -> bool:
     """Exact recursive evaluation; odd variables are existential, even ones
     universal.  Raises BudgetError when the 2^n assignments exceed
     DEFAULT_BUDGET."""
-    if 2**formula.num_vars > DEFAULT_BUDGET:
+    # 2^n > DEFAULT_BUDGET, without building 2^n
+    if formula.num_vars >= DEFAULT_BUDGET.bit_length():
         raise BudgetError("search-space-too-large: quantifier tree")
     assignment = [0] * (formula.num_vars + 1)
 

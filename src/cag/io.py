@@ -12,7 +12,9 @@ Reports, SPE results and traces grow with the answer and stay on
 `_id`, `_list`, `_int`, `_one_of` and `parse_rational`, none of which
 coerces a value, so a malformed file raises one ValueError naming the entry
 and the field; a duplicate id also names its line (best effort on
-pretty-printed files).  Any other exception from a loader is a bug.
+pretty-printed files).  The loaders of gadget inputs check only the JSON
+shape: `CutGraph`, `ThreeDMInstance` and `TqbfFormula` check their own
+numbers.  Any other exception from a loader is a bug.
 """
 
 from __future__ import annotations
@@ -312,11 +314,8 @@ def loads_graph(text: str) -> CutGraph:
     data = _json(text)
     edges = _list(_field(data, "edges", "graph"), "edges")
     return CutGraph(
-        _int(_field(data, "vertices", "graph"), "vertices"),
-        tuple(
-            (_int(u, "edge end"), _int(v, "edge end"), _int(w, "edge weight"))
-            for u, v, w in (_list(e, f"edges[{k}]", 3) for k, e in enumerate(edges))
-        ),
+        _field(data, "vertices", "graph"),
+        tuple(_list(e, f"edges[{k}]", 3) for k, e in enumerate(edges)),
     )
 
 
@@ -329,11 +328,8 @@ def loads_tdm(text: str) -> ThreeDMInstance:
     data = _json(text)
     triples = _list(_field(data, "triples", "matching instance"), "triples")
     return ThreeDMInstance(
-        _int(_field(data, "n", "matching instance"), "n"),
-        tuple(
-            tuple(_int(c, "triple coordinate") for c in _list(t, f"triples[{k}]", 3))
-            for k, t in enumerate(triples)
-        ),
+        _field(data, "n", "matching instance"),
+        tuple(_list(t, f"triples[{k}]", 3) for k, t in enumerate(triples)),
     )
 
 
@@ -346,11 +342,8 @@ def loads_tqbf(text: str) -> TqbfFormula:
     data = _json(text)
     clauses = _list(_field(data, "clauses", "formula"), "clauses")
     return TqbfFormula(
-        _int(_field(data, "vars", "formula"), "vars"),
-        tuple(
-            tuple(_int(lit, "literal") for lit in _list(c, f"clauses[{k}]"))
-            for k, c in enumerate(clauses)
-        ),
+        _field(data, "vars", "formula"),
+        tuple(_list(c, f"clauses[{k}]") for k, c in enumerate(clauses)),
     )
 
 

@@ -72,17 +72,12 @@ BUILD_BYTES = 640 * 2**20
 def check_build_size(
     what: str, nodes: int, agents: int, strategies: int, entries: int
 ) -> None:
-    """Raise BudgetError if the nodes plus strategy entries that `what`
-    would build exceed DEFAULT_BUDGET, or if their bytes, with those of
-    its agents and strategies, would exceed BUILD_BYTES.  Each count is
-    an upper bound.  Builders that take a size from input call this
-    before allocating."""
-    size = nodes + entries
-    if size > DEFAULT_BUDGET:
-        raise BudgetError(
-            f"search-space-too-large: {what} would build {size} nodes and "
-            f"strategy entries, more than {DEFAULT_BUDGET}"
-        )
+    """Raise BudgetError if the nodes, agents, strategies and strategy
+    entries that `what` would build would take more than BUILD_BYTES, at
+    the bytes each is charged above: the only build limit.  Every builder
+    that takes a size from input calls this before it allocates, with
+    upper bounds on the counts, and may call it first with lower bounds
+    to refuse before it can count exactly."""
     cost = (
         NODE_BYTES * nodes
         + AGENT_BYTES * agents

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 
@@ -39,7 +40,7 @@ from cag import (
     utility,
     validate_instance,
 )
-from cag import gadgets, io
+from cag import gadgets, generators, instances, io
 from cag.gadgets import first_primes
 
 
@@ -179,9 +180,14 @@ def test_maxcut_rejects_bad_graphs():
 
 
 def test_maxcut_refuses_graphs_needing_too_many_agents():
-    # one edge of weight 2^24 needs 1,819,248 agents; none is built
-    with pytest.raises(BudgetError, match="^search-space-too-large: .*1819248"):
+    # one edge of weight 2^24 needs 54,932 nodes, 1,819,248 agents,
+    # 1,819,250 strategies and 1,929,110 entries; none is built
+    with pytest.raises(BudgetError) as refusal:
         maxcut_to_cag(CutGraph(2, ((0, 1, 2**24),)))
+    assert str(refusal.value) == (
+        "search-space-too-large: the max-cut reduction would take an "
+        "estimated 2374340992 bytes, more than 671088640"
+    )
 
 
 def test_maxcut_refuses_a_huge_weight_before_decomposing_it(monkeypatch):
@@ -193,8 +199,14 @@ def test_maxcut_refuses_a_huge_weight_before_decomposing_it(monkeypatch):
         raise AssertionError("decomposed before refusing")
 
     monkeypatch.setattr(gadgets, "decompose_fraction", decompose)
-    with pytest.raises(BudgetError, match="^search-space-too-large: .* at least "):
+    with pytest.raises(BudgetError) as refusal:
         maxcut_to_cag(CutGraph(2, ((0, 1, 10**4000 + 1),)))
+    # at least 85,053,306,561,818 dummy agents, each with one strategy of
+    # one node
+    assert str(refusal.value) == (
+        "search-space-too-large: the max-cut reduction would take an "
+        "estimated 108868232399127040 bytes, more than 671088640"
+    )
 
 
 def test_cut_from_profile_conventions():
@@ -276,6 +288,19 @@ def test_oracle_tqbf_refuses_more_assignments_than_the_budget():
     formula = TqbfFormula(24, ((1, -12, 24),))
     with pytest.raises(BudgetError, match="^search-space-too-large: quantifier tree$"):
         oracle_tqbf(formula)
+
+
+def test_oracle_tqbf_refuses_without_building_the_assignment_count():
+    # 2^(10^8) alone would take 12.5 MB
+    formula = TqbfFormula(10**8, ((1, 2, 3),))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="^search-space-too-large: quantifier tree$"):
+            oracle_tqbf(formula)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_oracle_tqbf_matches_direct_enumeration():
@@ -473,6 +498,19 @@ def test_unionize_requires_unit_components(example1):
         unionize_strategies(example1)
 
 
+def _written(red) -> tuple[int, int, int, int]:
+    """The nodes, agents, strategies and strategy entries of the document
+    the command line writes for `red`, read back."""
+    doc = json.loads(io.dumps_reduction(red))["instance"]
+    agents = doc["agents"]
+    return (
+        len(doc["nodes"]),
+        len(agents),
+        sum(len(a["strategies"]) for a in agents),
+        sum(len(s) for a in agents for s in a["strategies"]),
+    )
+
+
 @pytest.mark.parametrize("build", [unionize_strategies, symmetrize_weighted])
 def test_shared_space_size_check_counts_the_written_document(monkeypatch, build):
     """The nodes, agents, strategies and strategy entries that the builder
@@ -485,12 +523,82 @@ def test_shared_space_size_check_counts_the_written_document(monkeypatch, build)
                           num_agents=1 + seed % 3, num_strategies=1 + seed % 4,
                           max_strategy_size=2)
         calls.clear()
-        doc = json.loads(io.dumps_reduction(build(inst)))["instance"]
-        agents = doc["agents"]
-        written = (
-            len(doc["nodes"]),
-            len(agents),
-            sum(len(a["strategies"]) for a in agents),
-            sum(len(s) for a in agents for s in a["strategies"]),
-        )
+        written = _written(build(inst))
         assert calls == [written], seed
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [CutGraph(2, ((0, 1, w),)) for w in range(1, 9)]
+    + [CutGraph(4, ((0, 1, 1), (1, 2, 2), (2, 3, 3), (3, 0, 4),
+                    (0, 2, 5), (1, 3, 6), (0, 1, 7), (2, 3, 8)))],
+    ids=[f"w{w}" for w in range(1, 9)] + ["w1-8"],
+)
+def test_maxcut_size_check_counts_the_written_document(monkeypatch, graph):
+    """`maxcut_to_cag` first checks a lower bound that needs no
+    decomposition, then the exact counts of the document the command line
+    writes.  Weights 1-8 decompose into terms c/b with b = 1, 2, 3 and 5
+    and coefficients of both signs."""
+    calls = []
+    monkeypatch.setattr(gadgets, "check_build_size", lambda *a: calls.append(a[1:]))
+    written = _written(maxcut_to_cag(graph))
+    least, exact = calls
+    assert exact == written
+    assert all(a <= b for a, b in zip(least, written))
+
+
+_S_ASYMMETRIC = gen_random("s-asymmetric", seed=5, num_nodes=3, num_agents=2,
+                           num_strategies=2, max_strategy_size=2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gen_random("symmetric", seed=1, num_nodes=3, num_agents=2,
+                           num_strategies=2),
+        lambda: build_named_instance("poa-lb", n=3, m=2),
+        lambda: build_named_instance("spoa-family", m=2),
+        lambda: split_unit_values(_S_ASYMMETRIC),
+        lambda: symmetrize_weighted(_S_ASYMMETRIC),
+        lambda: unionize_strategies(_S_ASYMMETRIC),
+        lambda: tdm_to_cag(ThreeDMInstance(1, ((0, 0, 0),))),
+        lambda: tqbf_to_cag(TqbfFormula(3, ((1, -2, 3),))),
+        lambda: maxcut_to_cag(CutGraph(2, ((0, 1, 1),))),
+    ],
+    ids=["gen_random", "poa-lb", "spoa-family", "split_unit_values",
+         "symmetrize_weighted", "unionize_strategies", "tdm_to_cag",
+         "tqbf_to_cag", "maxcut_to_cag"],
+)
+def test_every_size_taking_builder_checks_its_build_size(monkeypatch, build):
+    """`check_build_size` is the one build-size guard: every builder that
+    takes a size from input calls it."""
+    calls = []
+    for module in (gadgets, generators, instances):
+        monkeypatch.setattr(module, "check_build_size", lambda *a: calls.append(a))
+    build()
+    assert calls
+
+
+# each number of a gadget input, as the loaders name it, with x in its place
+_NUMBERS = [
+    ("vertices", lambda x: CutGraph(x, ())),
+    ("edge end", lambda x: CutGraph(3, ((0, x, 2), (1, 2, 1)))),
+    ("edge weight", lambda x: CutGraph(2, ((0, 1, x),))),
+    ("n", lambda x: ThreeDMInstance(x, ((0, 0, 0),))),
+    ("triple coordinate", lambda x: ThreeDMInstance(2, ((0, x, 1), (1, 0, 0)))),
+    ("vars", lambda x: TqbfFormula(x, ((1, 1, 1),))),
+    ("literal", lambda x: TqbfFormula(3, ((x, 2, 3),))),
+]
+
+
+@pytest.mark.parametrize("value", [1.0, True, "1", 1], ids=repr)
+@pytest.mark.parametrize("what, build", _NUMBERS, ids=[w for w, _ in _NUMBERS])
+def test_gadget_inputs_refuse_non_integers(what, build, value):
+    """A float, bool or string number is refused with the loaders' text,
+    not coerced; the int 1 in the same place is accepted."""
+    if value == 1 and type(value) is int:
+        build(value)
+        return
+    with pytest.raises(ValueError) as refusal:
+        build(value)
+    assert str(refusal.value) == f"{what} must be an integer, got {value!r}"

@@ -837,6 +837,14 @@ def _with(key, value) -> dict:
     return {**_UNIT_INSTANCE, key: value}
 
 
+def _unit_cycles() -> dict:
+    """A graph of 300 unit-weight cycles through the same 2,000 vertices."""
+    return {
+        "vertices": 2000,
+        "edges": [[k % 2000, (k + 1) % 2000, 1] for k in range(600_000)],
+    }
+
+
 def _crowd(agents: int, nodes: int, strategies: int) -> dict:
     """A unit instance whose `agents` agents each choose one of the first
     `strategies` of its `nodes` nodes."""
@@ -948,16 +956,21 @@ def test_cli_refuses_malformed_file_with_one_line(
         # small files whose every agent writes the whole shared list
         (["gadget", "unionize", "FILE"], _crowd(110, 110, 8)),
         (["gadget", "symmetrize", "FILE"], _crowd(3000, 1, 1)),
+        # a 45-byte graph whose one edge needs 997,460 agents
+        (["gadget", "maxcut", "FILE"], {"vertices": 2, "edges": [[0, 1, 2057625]]}),
+        # 600,000 unit edges on 2,000 vertices (9.5 MB, made by the test)
+        (["gadget", "maxcut", "FILE"], _unit_cycles),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
 def test_cli_refuses_oversized_builds_before_allocating(tmp_path, argv, data):
     """Each size is refused from a closed-form bound; the child process runs
     under an 800 MB address-space limit, so a builder that allocated first
-    would fail with a MemoryError traceback instead."""
+    would fail with a MemoryError traceback instead.  A callable `data`
+    makes its file when the test runs."""
     resource = pytest.importorskip("resource")
     path = tmp_path / "input.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(data() if callable(data) else data))
     limit = 800 * 2**20
     done = subprocess.run(
         [sys.executable, "-m", "cag", *(str(path) if a == "FILE" else a for a in argv)],

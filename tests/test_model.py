@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cag import (
     Agent,
@@ -26,6 +26,7 @@ from cag import (
     utility,
     validate_instance,
 )
+from cag import model
 from cag.dynamics import epsilon_step_bound
 from cag.engine import Evaluator
 
@@ -427,6 +428,34 @@ def test_evaluator_refuses_total_weight_above_budget():
     )
     with pytest.raises(BudgetError, match="^search-space-too-large: "):
         Evaluator(inst)
+
+
+_COUNT = st.integers(0, 10**9)
+
+
+@given(_COUNT, _COUNT, _COUNT, _COUNT)
+@example(2**20, 0, 0, 0)  # exactly BUILD_BYTES
+@example(2**20, 0, 0, 1)
+@example(0, 0, 0, 10**7 + 1)
+def test_build_size_is_refused_iff_its_byte_estimate_is_too_large(
+    nodes, agents, strategies, entries
+):
+    """The byte estimate is the only build limit: a size is refused iff its
+    estimate exceeds BUILD_BYTES.  The estimate is at least 96 bytes per
+    node and entry, so a count of nodes plus entries past 10^7 never
+    decides alone."""
+    cost = (
+        model.NODE_BYTES * nodes
+        + model.AGENT_BYTES * agents
+        + model.STRATEGY_BYTES * strategies
+        + model.ENTRY_BYTES * entries
+    )
+    try:
+        model.check_build_size("the build", nodes, agents, strategies, entries)
+        refused = False
+    except BudgetError:
+        refused = True
+    assert refused == (cost > model.BUILD_BYTES)
 
 
 def test_library_refuses_a_total_weight_past_the_digit_limit_in_its_own_words():
