@@ -16,17 +16,19 @@ over the strategy's nodes.  Every scoring loop forms the sum from
 `values` and `share` alone and multiplies it by the weight once, which is
 exact because w * (a + b) = w * a + w * b; no per-strategy table of
 weighted terms is kept.  `deviation_scaled` is the one loop that scores
-an agent at one strategy with the others fixed, its own choice included;
-`join_row` scores a whole row.
+an agent at one strategy with the others fixed, its own choice included
+(the equilibrium tests, `is_approx_pne` and the walk's `is_pne_among`,
+read it); `join_row` scores a row, whole or over the strategies asked for.
 
 `undominated` owns the dominance bound behind every pruned search: it
 keeps the strategies whose best case reaches the largest worst case, both
-scored with `share` at loads the caller bounds.  `live` iterates it into
-the strategies `equilibria._walk` visits, and the sequential walk skips
-with it the choices no mode could keep.  The engine also owns the welfare
-optimum, `optimum`: one pass over covered-node bitmasks, whose layers hold
-no more masks than `equilibria._walk` has orbit representatives at the
-same depth.
+scored with `share` at loads the caller bounds.  `live` iterates it to a
+fixpoint with a worklist into the strategies `equilibria._walk` visits and
+scores, and the sequential walk skips with it the choices no mode could
+keep.  The engine also owns the welfare optimum, `optimum`: a depth-first
+search over the choosing agents, memoized on the depth and the covered
+nodes that the agents still to choose can hold, whose every scan stops at
+the cover bound.
 
 The engine is read-only after construction and safe to share.
 """
@@ -157,17 +159,18 @@ class Evaluator:
         values = self.values
         return sum(values[j] for j, c in enumerate(loads) if c > 0)
 
-    def join_row(self, loads, agent: int) -> list[int]:
-        """Scaled utility of `agent` under each of its strategies when it
-        joins `loads`, which hold every other agent's load but not its own.
+    def join_row(self, loads, agent: int, options=None) -> list[int]:
+        """Scaled utility of `agent` under each of its strategies, or of
+        the strategy indices `options` in their order, when it joins
+        `loads`, which hold every other agent's load but not its own.
 
         With the others placed, the entry at a strategy is the agent's exact
         utility there, so its best responses are the entries equal to the
         row's maximum."""
         w = self.weights[agent]
-        values, share = self.values, self.share
+        values, share, space = self.values, self.share, self.spaces[agent]
         row = []
-        for nodes in self.spaces[agent]:
+        for nodes in space if options is None else [space[c] for c in options]:
             u = 0
             for j in nodes:
                 u += values[j] * share[loads[j] + w]
@@ -235,85 +238,152 @@ class Evaluator:
         holds j; the most is M_j, the weight of the agents with some live
         strategy through j, i itself included.  Every live profile of the
         others lies between the two, so a dropped strategy is never a best
-        response.  Rounds repeat until nothing is dropped.  `classes`
-        lists interchangeable agents; each class is scored once per round,
-        through its first member, so members keep equal lists."""
+        response.  `classes` lists interchangeable agents; a class is
+        scored through its first member, so members keep equal lists.
+
+        A worklist reaches the fixpoint: a class is scored again only when
+        F or M moved at a node of its live strategies.  A class's own drop
+        moves them only through its other members (its first member's
+        bounds count its own weight the same either way), so only a class
+        of more than one member is queued again after its own drop.  A
+        drop stays a drop as the lists shrink: F only grows and M only
+        falls, so best cases fall and worst cases rise, and the strategy
+        with the largest worst case is never dropped, its best case being
+        at least its worst.  So every order of scoring reaches the same
+        lists, the ones rounds over every class would reach."""
         weights, sets = self.weights, self.space_sets
         live = [list(range(len(space))) for space in self.spaces]
-        changed = True
-        while changed:
-            changed = False
-            # held_all[j], held_any[j]: the weight of the agents whose every,
-            # or some, live strategy holds j
-            held_all = [0] * self.num_nodes
-            held_any = [0] * self.num_nodes
-            every = []
-            for i, w in enumerate(weights):
-                mine = [sets[i][c] for c in live[i]]
-                every.append(frozenset.intersection(*mine))
-                for j in every[i]:
-                    held_all[j] += w
-                for j in frozenset.union(*mine):
-                    held_any[j] += w
-            for members in classes:
-                i = members[0]
-                if len(live[i]) == 1:
+        # every[i], some[i]: the nodes every, or some, live strategy of i holds
+        every = [frozenset.intersection(*space) for space in sets]
+        some = [frozenset.union(*space) for space in sets]
+        # held_all[j], held_any[j]: the weight of the agents whose every, or
+        # some, live strategy holds j
+        held_all = [0] * self.num_nodes
+        held_any = [0] * self.num_nodes
+        for i, w in enumerate(weights):
+            for j in every[i]:
+                held_all[j] += w
+            for j in some[i]:
+                held_any[j] += w
+        pending = [k for k, members in enumerate(classes) if len(live[members[0]]) > 1]
+        queued = set(pending)
+        pending.reverse()  # popped from the end: classes in order first
+        while pending:
+            k = pending.pop()
+            queued.discard(k)
+            members = classes[k]
+            i = members[0]
+            # held_all already counts i at the nodes every live choice holds
+            w, own = weights[i], every[i]
+            least = [c if j in own else c + w for j, c in enumerate(held_all)]
+            keep = self.undominated(i, live[i], least, held_any)
+            if len(keep) == len(live[i]):
+                continue
+            mine = [sets[i][c] for c in keep]
+            now_every = frozenset.intersection(*mine)
+            now_some = frozenset.union(*mine)
+            moved = (now_every - own) | (some[i] - now_some)
+            total = w * len(members)
+            for j in now_every - own:
+                held_all[j] += total
+            for j in some[i] - now_some:
+                held_any[j] -= total
+            for m in members:
+                live[m], every[m], some[m] = keep, now_every, now_some
+            for q, other in enumerate(classes):
+                first = other[0]
+                if q in queued or len(live[first]) == 1:
                     continue
-                # held_all already counts i at the nodes every live choice holds
-                w, own = weights[i], every[i]
-                least = [c if j in own else c + w for j, c in enumerate(held_all)]
-                keep = self.undominated(i, live[i], least, held_any)
-                if len(keep) < len(live[i]):
-                    changed = True
-                    for k in members:
-                        live[k] = keep
+                if q == k:
+                    touched = len(members) > 1
+                else:
+                    touched = not moved.isdisjoint(some[first])
+                if touched:
+                    pending.append(q)
+                    queued.add(q)
         return live
 
     def optimum(self) -> tuple[int, tuple[int, ...]]:
         """The optimal welfare and its lexicographically-first witness.
 
         Welfare depends only on the covered nodes.  Single-strategy agents
-        are placed first; then each choosing agent, in index order, extends
-        every mask of the layer before.  A layer keeps, per mask, the first
-        (parent mask, choice) that reaches it, visiting parents in that
-        order and choices in ascending order, so each mask's path is the
-        lexicographically-first prefix reaching it: a sorted choice within
-        each class of interchangeable agents, hence an orbit
-        representative.  The last layer is only scored, keeping the first
-        best it meets, and its scan ends once the best equals the cover
-        bound, the total value of the nodes some strategy holds: no
-        welfare exceeds that bound, so no later entry is a strict best and
-        the witness is the one a full scan keeps.
+        are placed first; then a depth-first search gives the choosing
+        agents, in index order, their choices in ascending order.  What the
+        agents from depth t on add depends only on which of the nodes they
+        can hold are covered, so a state is a depth and that part of the
+        covered mask, and its best gain and the first choice reaching it
+        are memoized; the memo is read before a child is searched, so a
+        state reached twice is searched once.  Each state keeps the first
+        strict best, so following the first choices from the root gives
+        the lexicographically-first optimal profile.  Every scan ends once
+        the welfare it reaches equals the cover bound, the total value of
+        the nodes some strategy holds: no welfare exceeds that bound, so no
+        later choice is a strict best, and the state's best is the most
+        its agents can add on any path, as a full scan would find.
         """
         values = self.values
         loads, choices, active = self.preplace(range(self.num_agents))
+        start_welfare = self.welfare(loads)
         if not active:
-            return self.welfare(loads), tuple(choices)
+            return start_welfare, tuple(choices)
         start = sum(1 << j for j, c in enumerate(loads) if c)
-        layers = [{start: (None, 0, self.welfare(loads))}]
-        for i in active[:-1]:
-            bits = [sum(1 << j for j in nodes) for nodes in self.spaces[i]]
-            layer: dict = {}
-            for mask, (_, _, welfare) in layers[-1].items():
-                for c, nodes in enumerate(self.spaces[i]):
-                    covered = mask | bits[c]
-                    if covered not in layer:
-                        gain = sum(values[j] for j in nodes if not mask >> j & 1)
-                        layer[covered] = (mask, c, welfare + gain)
-            layers.append(layer)
-        held = {j for space in self.spaces for nodes in space for j in nodes}
-        cover = sum(values[j] for j in held)
-        best = (-1, None, 0)
-        for mask, (_, _, welfare) in layers[-1].items():
-            for c, nodes in enumerate(self.spaces[active[-1]]):
-                total = welfare + sum(values[j] for j in nodes if not mask >> j & 1)
-                if total > best[0]:
-                    best = (total, mask, c)
-            if best[0] == cover:
-                break
-        welfare, mask, choices[active[-1]] = best
-        for i, layer in zip(reversed(active[:-1]), reversed(layers)):
-            mask, choices[i], _ = layer[mask]
+        spaces = [self.spaces[i] for i in active]
+        depth = len(spaces)
+        # bits[t][c]: the node bitmask of choice c at depth t; reach[t]: the
+        # nodes the choosing agents from depth t on can hold
+        bits = []
+        for space in spaces:
+            row = []
+            for nodes in space:
+                mask = 0
+                for j in nodes:
+                    mask |= 1 << j
+                row.append(mask)
+            bits.append(row)
+        reach = [0] * (depth + 1)
+        for t in reversed(range(depth)):
+            reach[t] = reach[t + 1]
+            for mask in bits[t]:
+                reach[t] |= mask
+        held = start | reach[0]
+        cover = sum(v for j, v in enumerate(values) if held >> j & 1)
+        # memo[t][key]: the most the agents from depth t on add, and the
+        # first choice that adds it, with `key` the covered part of reach[t];
+        # memo[depth] stays empty
+        memo: list[dict] = [{} for _ in range(depth + 1)]
+
+        def search(t: int, key: int, welfare: int) -> int:
+            """The most the agents from depth t on add to `welfare`, the
+            worth of the covered nodes, whose part in reach[t] is `key`."""
+            below, ahead, space = memo[t + 1], reach[t + 1], spaces[t]
+            best, pick = -1, 0
+            for c, mask in enumerate(bits[t]):
+                gain = 0
+                for j in space[c]:
+                    if not key >> j & 1:
+                        gain += values[j]
+                if t + 1 < depth:
+                    child = (key | mask) & ahead
+                    known = below.get(child)
+                    if known is None:
+                        gain += search(t + 1, child, welfare + gain)
+                    else:
+                        gain += known[0]
+                if gain > best:
+                    best, pick = gain, c
+                    if welfare + best == cover:
+                        break
+            memo[t][key] = (best, pick)
+            return best
+
+        try:
+            welfare = start_welfare + search(0, start & reach[0], start_welfare)
+        finally:
+            del search  # the closure refers to itself; free the memo now
+        mask = start
+        for t, i in enumerate(active):
+            choices[i] = c = memo[t][mask & reach[t]][1]
+            mask |= bits[t][c]
         return welfare, tuple(choices)
 
     def first_improvement(self, choices, loads, alpha_num: int, alpha_den: int):
@@ -330,6 +400,19 @@ class Evaluator:
                 if dev * alpha_den > bar:
                     return i, alt, dev - current
         return None
+
+    def is_pne_among(self, choices, loads, agents, options) -> bool:
+        """True iff no agent of `agents` gains strictly by switching to one
+        of the strategies `options[agent]`, with everyone else fixed: the
+        exact equilibrium test restricted to those agents and strategies."""
+        score = self.deviation_scaled
+        for i in agents:
+            own = choices[i]
+            current = score(choices, loads, i, own)
+            for alt in options[i]:
+                if alt != own and score(choices, loads, i, alt) > current:
+                    return False
+        return True
 
     def is_approx_pne(self, choices, loads, alpha_num: int, alpha_den: int) -> bool:
         """True iff no agent has a deviation worth more than

@@ -22,21 +22,31 @@ agents whose every, or some, live strategy holds a node and drops what
 Dropping strictly dominated strategies keeps the set of pure Nash
 equilibria, and the order of elimination does not change the result
 (Knuth, Papadimitriou & Tsitsiklis, Oper. Res. Lett. 7, 1988; Gilboa,
-Kalai & Zemel, Math. Oper. Res. 18, 1993).  The leaf test still checks
-every strategy, the optimum is taken over the full spaces, and choices
-keep their original indices.  The sequential walk (`sequential`) applies
-the same bound at each state's actual loads, so a subgame off the
-equilibrium path, which may hold an eliminated earlier choice, needs no
-argument of its own.
+Kalai & Zemel, Math. Oper. Res. 18, 1993).  The optimum is taken over the
+full spaces, and choices keep their original indices.  The sequential walk
+(`sequential`) applies the same bound at each state's actual loads, so a
+subgame off the equilibrium path, which may hold an eliminated earlier
+choice, needs no argument of its own.
+
+The leaves, too, score only live strategies.  Each dropped strategy s was
+beaten, at every load within the bounds of its moment, by a strategy t live
+at that moment; later drops only tighten the bounds, so at every profile of
+the others' live strategies t pays more than s, and if t was dropped later,
+a strategy live at its moment pays more than t.  The chain ends at a live
+strategy, so at such a profile an agent's best utility over its live
+strategies is its best over all of them.  This holds for exact equilibria,
+which play only live strategies; an alpha-approximate equilibrium may play
+a dropped one, so a search for those must revisit both restrictions.
 
 Only the last choosing agent's best responses are placed.  Once every other
 agent is placed, that agent's utility under each of its strategies is fixed
-by the loads, so the walk scores its whole strategy list once
+by the loads, so the walk scores its live strategies once
 (`Evaluator.join_row`) and visits only the leaves where its choice attains
-the row's maximum; any other leaf gives it a better response, so it is no
-equilibrium.  Each visited leaf gets the full equilibrium test, and an
-equilibrium's welfare is read from its loads there, for the price of
-anarchy.
+the row's maximum, whichever of them twins or a worker's share leave to
+visit; any other leaf gives it a better response, so it is no equilibrium.
+The leaf test (`Evaluator.is_pne_among`) then checks every other choosing
+agent against its live alternatives, and an equilibrium's welfare is read
+from its loads there, for the price of anarchy.
 
 A budget guard, `model.check_budget`, makes infeasible instances fail loudly
 instead of being silently sampled: no general efficient method exists for
@@ -122,9 +132,10 @@ def _walk(ev: Evaluator, top: range | None = None, first_pne: bool = False):
     `first_pne` stops at the first equilibrium.
 
     With every other agent placed, the last choosing agent's utilities are
-    scored once, over all of its strategies even where dominance, twins or
-    `top` limit the choices visited, and only the choices attaining the
-    maximum are placed and tested for equilibrium.
+    scored once, over all of its live strategies even where twins or `top`
+    limit the choices visited, and only the choices attaining the maximum
+    are placed; a leaf is an equilibrium when no other choosing agent has a
+    better live alternative.
 
     Returns the equilibrium representatives as (choices, welfare) pairs.
     """
@@ -137,13 +148,16 @@ def _walk(ev: Evaluator, top: range | None = None, first_pne: bool = False):
     live = ev.live(classes)
     loads, choices, active = ev.preplace(range(ev.num_agents))
     depth = len(active)
-    is_pne = ev.is_approx_pne
+    # the leaf test's agents: every choosing agent but the last, whose row
+    # the walk maximizes, that has a live alternative
+    rivals = [i for i in active[:-1] if len(live[i]) > 1]
+    stable = ev.is_pne_among
     reps: list[tuple[tuple[int, ...], int]] = []
 
     def place(t: int) -> bool:
         """Place the choosing agents from the t-th on; True means stop."""
         if t == depth:
-            if is_pne(choices, loads, 1, 1):
+            if stable(choices, loads, rivals, live):
                 reps.append((tuple(choices), ev.welfare(loads)))
                 return first_pne
             return False
@@ -151,17 +165,19 @@ def _walk(ev: Evaluator, top: range | None = None, first_pne: bool = False):
         w = weights[i]
         space = spaces[i]
         options = live[i]
+        if t == depth - 1:
+            # Everyone else is placed, so these are i's exact utilities at
+            # every leaf below; the best over its live strategies is its
+            # best over all of them, and any other choice gives i a better
+            # response.
+            row = ev.join_row(loads, i, options)
+            best = max(row)
+            options = [c for c, u in zip(options, row) if u == best]
         if t == 0 and top is not None:
             options = [c for c in options if c in top]
         elif twin[i] >= 0:
-            options = options[options.index(choices[twin[i]]):]
-        if t == depth - 1:
-            # Everyone else is placed, so these are i's exact utilities at
-            # every leaf below, over all its strategies, not only `options`;
-            # any other choice gives i a better response.
-            row = ev.join_row(loads, i)
-            best = max(row)
-            options = [c for c in options if row[c] == best]
+            prev = choices[twin[i]]
+            options = [c for c in options if c >= prev]
         for c in options:
             choices[i] = c
             for j in space[c]:

@@ -481,9 +481,17 @@ def maxcut_to_cag(graph: CutGraph) -> ReductionOutput:
     n = max(1, (w_bar - 1).bit_length())  # as in edge_gadget_terms
     # each of the first n primes p not dividing w_bar gets a nonzero term c/p,
     # which pins (p - 1)(p - 2) |c| dummies, each with one strategy of one
-    # node: a bound that needs no decomposition
-    least = sum((p - 1) * (p - 2) for p in first_primes(n) if w_bar % p)
-    check_build_size("the max-cut reduction", 0, least, least, least)
+    # node: a bound that needs no decomposition.  It is summed over the
+    # primes in increasing order, sieved in doubling runs, and each run's
+    # partial sum is checked: a partial sum is at most the bound, so the
+    # first one refused refuses the build, and a weight of a million bits
+    # meets only the few dozen primes that already price the build out.
+    least, primes = 0, ()
+    while len(primes) < n:
+        done = len(primes)
+        primes = first_primes(min(2 * done + 16, n))
+        least += sum((p - 1) * (p - 2) for p in primes[done:] if w_bar % p)
+        check_build_size("the max-cut reduction", 0, least, least, least)
     # a term c/b lists |c| node pairs when b == 2 and |c| (b + 1) otherwise,
     # and pins |c| (b - 1)(b - 2) dummies to them (_expand_unit_fraction);
     # a pair puts one node in each strategy of both ends of its edge

@@ -7,7 +7,8 @@ grow with the instance, come from one text writer, `_instance_text`: it
 encodes each id once and writes the layout of ``json.dumps(..., indent=2)``
 as literal separators (``json.dumps`` with ``indent`` runs json's
 pure-Python encoder), and the tests keep ``json.dumps`` as its oracle.
-Reports, SPE results and traces grow with the answer and stay on
+Equilibrium reports come from literal text too, through the same `_array`
+and `_scalar`, with the same oracle; SPE results and traces stay on
 ``json.dumps``.  Loaders read parsed JSON only through `_field`,
 `_id`, `_list`, `_int`, `_one_of` and `parse_rational`, none of which
 coerces a value, so a malformed file raises one ValueError naming the entry
@@ -352,15 +353,16 @@ def loads_tqbf(text: str) -> TqbfFormula:
 
 
 def dumps_report(report: EquilibriumReport) -> str:
-    data = {
-        "pne": [list(p.choices) for p in report.pne],
-        "opt-welfare": report.opt_welfare,
-        "opt-profile": list(report.opt_profile.choices),
-        "poa": rational_str(report.poa) if report.poa is not None
-        else "undefined-no-pne",
-        "profile-count-scanned": report.profiles_scanned,
-    }
-    return json.dumps(data, indent=2) + "\n"
+    """`json.dumps(fields, indent=2)` of the report, written as literal text
+    like `_instance_text`."""
+    pne = _array([_array([*map(_scalar, p.choices)], "    ") for p in report.pne], "  ")
+    opt = _array([*map(_scalar, report.opt_profile.choices)], "  ")
+    poa = "undefined-no-pne" if report.poa is None else rational_str(report.poa)
+    return (
+        f'{{\n  "pne": {pne},\n  "opt-welfare": {_scalar(report.opt_welfare)},\n'
+        f'  "opt-profile": {opt},\n  "poa": {_quote(poa)},\n'
+        f'  "profile-count-scanned": {_scalar(report.profiles_scanned)}\n}}\n'
+    )
 
 
 def loads_report(text: str) -> EquilibriumReport:

@@ -348,15 +348,15 @@ def best_response_leaves(inst):
 
 
 def profiles_tested_by(call):
-    """The profiles `call()` sends to the engine's equilibrium test."""
+    """The profiles `call()` sends to the walk's leaf test."""
     tested = []
-    original = Evaluator.is_approx_pne
+    original = Evaluator.is_pne_among
 
-    def recording(self, choices, loads, alpha_num, alpha_den):
+    def recording(self, choices, loads, agents, options):
         tested.append(tuple(choices))
-        return original(self, choices, loads, alpha_num, alpha_den)
+        return original(self, choices, loads, agents, options)
 
-    with mock.patch.object(Evaluator, "is_approx_pne", recording):
+    with mock.patch.object(Evaluator, "is_pne_among", recording):
         call()
     return tested
 
@@ -388,25 +388,61 @@ def test_live_strategies_examples(inst, live):
     assert Evaluator(inst).live(_classes(inst)) == live
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.sampled_from(GENERATOR_KINDS),
-    st.integers(0, 2**31 - 1),
-    st.integers(1, 5),
-    st.integers(1, 4),
-    st.integers(1, 4),
-    st.integers(1, 1000),
-)
-def test_pruned_walk_matches_brute_force_on_every_kind(
-    kind, seed, nodes, agents, strategies, max_weight
-):
+@st.composite
+def generated_games(draw, nodes=5, agents=4, strategies=4):
+    """`gen_random` draws of every kind, with weights up to 1000."""
+    kind = draw(st.sampled_from(GENERATOR_KINDS))
     try:
-        inst = gen_random(kind, seed, num_nodes=nodes, num_agents=agents,
-                          num_strategies=strategies, max_weight=max_weight)
+        return gen_random(
+            kind, draw(st.integers(0, 2**31 - 1)),
+            num_nodes=draw(st.integers(1, nodes)),
+            num_agents=draw(st.integers(1, agents)),
+            num_strategies=draw(st.integers(1, strategies)),
+            max_weight=draw(st.integers(1, 1000)),
+        )
     except ValueError as err:
         # an s- or fully asymmetric draw whose spaces cannot be made to differ
         assume("too small" not in str(err))
         raise
+
+
+@settings(max_examples=100, deadline=None)
+@given(games_with_twins() | generated_games())
+@example(TWO_ROUNDS)
+@example(TWO_ROUNDS_MIRRORED)
+@example(OWN_WEIGHT)
+def test_dominance_shortcuts_are_exact(inst):
+    """The worklist reaches the lists of the round-based reference, and at
+    every profile of live strategies each choosing agent's best utility
+    over its live strategies is its best over all of them, in exact
+    fractions: so the walk's rows and leaf tests need only live
+    strategies."""
+    live = Evaluator(inst).live(_classes(inst))
+    assert live == live_strategies(inst)
+    for choices in itertools.product(*live):
+        for i, agent in enumerate(inst.agents):
+            if len(agent.strategies) == 1:
+                continue
+            row = [
+                utility(inst, StrategyProfile(choices[:i] + (s,) + choices[i + 1:]), i)
+                for s in range(len(agent.strategies))
+            ]
+            assert max(row) == max(row[s] for s in live[i]), (choices, i)
+
+
+def test_live_queues_a_class_again_after_its_own_drop():
+    """Three interchangeable agents: the first drop moves the bounds of the
+    class's first member only through the other two, and only a second
+    scoring of the class finds that strategy 0 dominates."""
+    inst = gen_random("symmetric", 5, num_nodes=3, num_agents=3, num_strategies=3,
+                      max_strategy_size=3)
+    assert live_strategies(inst) == [[0], [0], [0]]
+    assert Evaluator(inst).live(_classes(inst)) == [[0], [0], [0]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(generated_games())
+def test_pruned_walk_matches_brute_force_on_every_kind(inst):
     expected = brute_force_report(inst)
     assert analyze(inst) == expected
     assert pne_exists(inst) == bool(expected.pne)
@@ -420,7 +456,66 @@ def test_pruned_walk_guard_row():
     tested = profiles_tested_by(lambda: reports.append(analyze(inst)))
     text = io.dumps_report(reports[0])
     assert hashlib.sha256(text.encode("utf-8")).hexdigest()[:16] == "93e519ebb8425267"
+    assert tested
     assert len(tested) <= 256
+
+
+def layered_optimum(ev):
+    """The welfare optimum and its lexicographically-first witness from one
+    pass over covered-node bitmasks, a layer per choosing agent: each
+    layer keeps, per mask, the first (parent mask, choice) that reaches it,
+    and the last agent is scored against every mask of the layer before."""
+    values = ev.values
+    loads, choices, active = ev.preplace(range(ev.num_agents))
+    if not active:
+        return ev.welfare(loads), tuple(choices)
+    start = sum(1 << j for j, c in enumerate(loads) if c)
+    layers = [{start: (None, 0, ev.welfare(loads))}]
+    for i in active[:-1]:
+        bits = [sum(1 << j for j in nodes) for nodes in ev.spaces[i]]
+        layer: dict = {}
+        for mask, (_, _, welfare) in layers[-1].items():
+            for c, nodes in enumerate(ev.spaces[i]):
+                covered = mask | bits[c]
+                if covered not in layer:
+                    gain = sum(values[j] for j in nodes if not mask >> j & 1)
+                    layer[covered] = (mask, c, welfare + gain)
+        layers.append(layer)
+    best = (-1, None, 0)
+    for mask, (_, _, welfare) in layers[-1].items():
+        for c, nodes in enumerate(ev.spaces[active[-1]]):
+            total = welfare + sum(values[j] for j in nodes if not mask >> j & 1)
+            if total > best[0]:
+                best = (total, mask, c)
+    welfare, mask, choices[active[-1]] = best
+    for i, layer in zip(reversed(active[:-1]), reversed(layers)):
+        mask, choices[i], _ = layer[mask]
+    return welfare, tuple(choices)
+
+
+@settings(max_examples=200, deadline=None)
+@given(games_with_twins() | generated_games(nodes=12, agents=8, strategies=5))
+@example(COVER_UNREACHED)
+@example(COVER_TIES)
+@example(TWIN_LAST_AGENT)
+@example(  # single-strategy agents around and between the choosing ones
+    Instance.build([("q1", 1), ("q2", 2), ("q3", 3)],
+                   [("p1", 1, [[2]]), ("a1", 1, [[0], [1]]), ("p2", 2, [[1]]),
+                    ("a2", 1, [[0], [2]])])
+)
+def test_optimum_matches_the_layered_oracle(inst):
+    ev = Evaluator(inst)
+    assert ev.optimum() == layered_optimum(ev)
+
+
+def test_optimum_below_the_cover_bound():
+    """No profile of this sparse row covers every node some strategy holds
+    (105), so no scan stops at the cover bound; its optimum is pinned."""
+    inst = gen_random("asymmetric", 0, num_nodes=30, num_agents=7, num_strategies=8,
+                      max_strategy_size=3)
+    held = {j for agent in inst.agents for s in agent.strategies for j in s}
+    assert sum(inst.nodes[j].value for j in held) == 105
+    assert Evaluator(inst).optimum() == (81, (3, 0, 6, 7, 4, 3, 7))
 
 
 def test_pne_exists_stops_at_a_later_tied_best_leaf():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from math import isqrt
@@ -193,7 +194,9 @@ def test_maxcut_refuses_graphs_needing_too_many_agents():
 def test_maxcut_refuses_a_huge_weight_before_decomposing_it(monkeypatch):
     """The first primes that do not divide the weight bound the agent count
     from below, so a weight of thousands of digits is refused without the
-    decomposition, which would take seconds."""
+    decomposition, which would take seconds; the bound's partial sums are
+    refused as soon as one is, so a weight of a million bits is refused in
+    milliseconds."""
 
     def decompose(n, w):
         raise AssertionError("decomposed before refusing")
@@ -201,12 +204,16 @@ def test_maxcut_refuses_a_huge_weight_before_decomposing_it(monkeypatch):
     monkeypatch.setattr(gadgets, "decompose_fraction", decompose)
     with pytest.raises(BudgetError) as refusal:
         maxcut_to_cag(CutGraph(2, ((0, 1, 10**4000 + 1),)))
-    # at least 85,053,306,561,818 dummy agents, each with one strategy of
-    # one node
+    # the first partial sum refused, over the first 48 primes: at least
+    # 645,428 dummy agents, each with one strategy of one node
     assert str(refusal.value) == (
         "search-space-too-large: the max-cut reduction would take an "
-        "estimated 108868232399127040 bytes, more than 671088640"
+        "estimated 826147840 bytes, more than 671088640"
     )
+    started = time.process_time()
+    with pytest.raises(BudgetError, match="search-space-too-large"):
+        maxcut_to_cag(CutGraph(2, ((0, 1, 2**1_000_000 + 1),)))
+    assert time.process_time() - started < 1
 
 
 def test_cut_from_profile_conventions():

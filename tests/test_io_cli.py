@@ -31,6 +31,7 @@ from cag import (
 )
 from cag import io
 from cag.cli import run_cli
+from cag.equilibria import EquilibriumReport
 
 from conftest import instances, instances_with_profiles, src_env
 
@@ -279,6 +280,36 @@ def test_instance_text_refuses_a_value_past_the_digit_limit():
     with pytest.raises(ValueError) as refusal:
         io.dumps_instance(inst)
     assert str(refusal.value) == str(expected.value)
+
+
+_choices = st.lists(st.integers(0, 2**70), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(_choices, max_size=4),
+    st.integers(0, 2**70),
+    _choices,
+    st.none() | st.fractions(min_value=1).filter(lambda f: f.numerator < 2**70),
+    st.integers(0, 2**70),
+)
+@example([], 0, [], None, 0)
+def test_report_writer_matches_json_dumps(pne, welfare, opt, poa, scanned):
+    """The report comes from literal text; `json.dumps(..., indent=2)` of
+    its fields is the oracle, for empty lists, no equilibrium and integers
+    past 2^64."""
+    report = EquilibriumReport(
+        tuple(StrategyProfile(c) for c in pne), welfare, StrategyProfile(opt),
+        poa, scanned,
+    )
+    fields = {
+        "pne": pne,
+        "opt-welfare": welfare,
+        "opt-profile": opt,
+        "poa": "undefined-no-pne" if poa is None else io.rational_str(poa),
+        "profile-count-scanned": scanned,
+    }
+    assert io.dumps_report(report) == json.dumps(fields, indent=2) + "\n"
 
 
 def test_report_round_trip(example1_minus_dummy, example1):
