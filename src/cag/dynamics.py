@@ -59,6 +59,7 @@ from .engine import Evaluator
 from .model import (
     Instance,
     StrategyProfile,
+    check_count,
     check_index,
     check_profile,
     exact_number,
@@ -147,8 +148,7 @@ def _check_config(inst: Instance, cfg: DynamicsConfig) -> Fraction:
     for `inst`."""
     if cfg.mode not in ("epsilon", "alpha"):
         raise ValueError(f"invalid dynamics mode {cfg.mode!r}")
-    if cfg.max_steps < 1:
-        raise ValueError("max_steps must be positive")
+    check_count(cfg.max_steps, "max_steps")
     if cfg.mode == "epsilon":
         epsilon = exact_number(cfg.epsilon, "epsilon")
         if epsilon < 0:

@@ -16,9 +16,10 @@ over the strategy's nodes.  Every scoring loop forms the sum from
 `values` and `share` alone and multiplies it by the weight once, which is
 exact because w * (a + b) = w * a + w * b; no per-strategy table of
 weighted terms is kept.  `deviation_scaled` is the one loop that scores
-an agent at one strategy with the others fixed, its own choice included
-(the equilibrium tests, `is_approx_pne` and the walk's `is_pne_among`,
-read it); `join_row` scores a row, whole or over the strategies asked for.
+an agent at one strategy with the others fixed, its own choice included;
+`first_improvement` is the one scan for an improving deviation, over the
+agents and strategies asked for (alpha dynamics, and every equilibrium
+test through `is_approx_pne`); `join_row` scores a row likewise.
 
 `undominated` owns the dominance bound behind every pruned search: it
 keeps the strategies whose best case reaches the largest worst case, both
@@ -386,35 +387,31 @@ class Evaluator:
             mask |= bits[t][c]
         return welfare, tuple(choices)
 
-    def first_improvement(self, choices, loads, alpha_num: int, alpha_den: int):
+    def first_improvement(
+        self, choices, loads, alpha_num: int, alpha_den: int, agents=None, options=None
+    ):
         """The first deviation, in (agent, strategy) order, worth more than
         (alpha_num/alpha_den) times the agent's current utility, as
-        (agent, strategy, scaled gain); None if there is none."""
-        for i in range(self.num_agents):
-            current = self.deviation_scaled(choices, loads, i, choices[i])
-            bar = current * alpha_num
-            for alt in range(len(self.spaces[i])):
-                if alt == choices[i]:
-                    continue
-                dev = self.deviation_scaled(choices, loads, i, alt)
-                if dev * alpha_den > bar:
-                    return i, alt, dev - current
-        return None
-
-    def is_pne_among(self, choices, loads, agents, options) -> bool:
-        """True iff no agent of `agents` gains strictly by switching to one
-        of the strategies `options[agent]`, with everyone else fixed: the
-        exact equilibrium test restricted to those agents and strategies."""
+        (agent, strategy, scaled gain); None if there is none.  Given
+        `agents`, only those agents are tried, in their order; given
+        `options`, agent i only at the strategies `options[i]`, in order."""
         score = self.deviation_scaled
-        for i in agents:
+        for i in range(self.num_agents) if agents is None else agents:
             own = choices[i]
             current = score(choices, loads, i, own)
-            for alt in options[i]:
-                if alt != own and score(choices, loads, i, alt) > current:
-                    return False
-        return True
+            bar = current * alpha_num
+            for alt in range(len(self.spaces[i])) if options is None else options[i]:
+                if alt != own:
+                    dev = score(choices, loads, i, alt)
+                    if dev * alpha_den > bar:
+                        return i, alt, dev - current
+        return None
 
-    def is_approx_pne(self, choices, loads, alpha_num: int, alpha_den: int) -> bool:
-        """True iff no agent has a deviation worth more than
-        (alpha_num/alpha_den) times its current utility."""
-        return self.first_improvement(choices, loads, alpha_num, alpha_den) is None
+    def is_approx_pne(
+        self, choices, loads, alpha_num: int, alpha_den: int, agents=None, options=None
+    ) -> bool:
+        """True iff `first_improvement`, over the same agents and
+        strategies, finds no improving deviation."""
+        return self.first_improvement(
+            choices, loads, alpha_num, alpha_den, agents, options
+        ) is None

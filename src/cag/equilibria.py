@@ -44,9 +44,9 @@ by the loads, so the walk scores its live strategies once
 (`Evaluator.join_row`) and visits only the leaves where its choice attains
 the row's maximum, whichever of them twins or a worker's share leave to
 visit; any other leaf gives it a better response, so it is no equilibrium.
-The leaf test (`Evaluator.is_pne_among`) then checks every other choosing
-agent against its live alternatives, and an equilibrium's welfare is read
-from its loads there, for the price of anarchy.
+The leaf test (`Evaluator.is_approx_pne` at alpha 1, restricted to the other
+choosing agents and their live alternatives) then checks each of them, and an
+equilibrium's welfare is read from its loads there, for the price of anarchy.
 
 A budget guard, `model.check_budget`, makes infeasible instances fail loudly
 instead of being silently sampled: no general efficient method exists for
@@ -68,6 +68,7 @@ from .model import (
     Instance,
     StrategyProfile,
     check_budget,
+    check_count,
     check_profile,
     exact_number,
 )
@@ -151,13 +152,14 @@ def _walk(ev: Evaluator, top: range | None = None, first_pne: bool = False):
     # the leaf test's agents: every choosing agent but the last, whose row
     # the walk maximizes, that has a live alternative
     rivals = [i for i in active[:-1] if len(live[i]) > 1]
-    stable = ev.is_pne_among
+    stable = ev.is_approx_pne
     reps: list[tuple[tuple[int, ...], int]] = []
 
     def place(t: int) -> bool:
         """Place the choosing agents from the t-th on; True means stop."""
         if t == depth:
-            if stable(choices, loads, rivals, live):
+            # positional: the benchmark's tracer wraps this method by name
+            if stable(choices, loads, 1, 1, rivals, live):
                 reps.append((tuple(choices), ev.welfare(loads)))
                 return first_pne
             return False
@@ -240,8 +242,7 @@ def _assign(choices: list[int], members, perm) -> list[int]:
 def _worker_count(jobs: int) -> int:
     """Worker processes for a `jobs` request: at least one, and never more
     than the machine's CPU count."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    check_count(jobs, "jobs")
     if jobs == 1:  # a serial scan needs no CPU count
         return 1
     return min(jobs, os.cpu_count() or 1)

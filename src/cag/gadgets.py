@@ -36,6 +36,7 @@ from .model import (
     Node,
     StrategyProfile,
     check_build_size,
+    check_count,
     is_int,
 )
 from .potentials import harmonic_numbers
@@ -319,6 +320,7 @@ class FractionDecomposition:
 def first_primes(n: int) -> tuple[int, ...]:
     """The first n primes, by a sieve of Eratosthenes whose bound doubles
     until it holds n primes."""
+    check_count(n, "n", least=0)
     limit = 16
     while True:
         sieve = bytearray([1]) * limit
@@ -328,7 +330,7 @@ def first_primes(n: int) -> tuple[int, ...]:
                 sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
         primes = [p for p in range(limit) if sieve[p]]
         if len(primes) >= n:
-            return tuple(primes[:max(n, 0)])
+            return tuple(primes[:n])
         limit *= 2
 
 
@@ -341,9 +343,9 @@ def decompose_fraction(n: int, w: int) -> FractionDecomposition:
     ``c`` in ``[0, p)`` with ``c * (M / p) == w (mod p)``, and what is left,
     ``w - sum(c * (M / p))``, is a multiple of ``M``.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if not 0 <= w <= 2**n:
+    check_count(n, "n")
+    check_count(w, "w", least=0)
+    if w > 2**n:
         raise ValueError(f"w must be in [0, 2^{n}]")
     primes = first_primes(n)
     modulus = math.prod(primes)
@@ -393,9 +395,9 @@ def _expand_unit_fraction(b: int, plus: list[int], minus: list[int]) -> None:
 
 def edge_gadget_terms(w_bar: int, w: int) -> EdgeGadget:
     """Gadget sizes representing weight w among weights up to w_bar."""
-    if w_bar < 1:
-        raise ValueError("w_bar must be a positive integer")
-    if not 0 <= w <= w_bar:
+    check_count(w_bar, "w_bar")
+    check_count(w, "w", least=0)
+    if w > w_bar:
         raise ValueError(f"w must be in [0, {w_bar}]")
     n = max(1, (w_bar - 1).bit_length())  # smallest n with 2^n >= w_bar
     dec = decompose_fraction(n, w)

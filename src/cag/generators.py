@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from .model import Instance, check_build_size
+from .model import Instance, check_build_size, check_count
 
 __all__ = ["GENERATOR_KINDS", "gen_random"]
 
@@ -65,15 +65,16 @@ def gen_random(
     """
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown instance kind {kind!r}")
-    if num_nodes < 1 or num_agents < 1 or num_strategies < 1:
-        raise ValueError("sizes must be positive")
     for name, bound in (
+        ("num_nodes", num_nodes),
+        ("num_agents", num_agents),
+        ("num_strategies", num_strategies),
         ("max_strategy_size", max_strategy_size),
         ("max_weight", max_weight),
         ("max_value", max_value),
     ):
-        if bound is not None and bound < 1:
-            raise ValueError(f"{name} must be at least 1, got {bound}")
+        if bound is not None:
+            check_count(bound, name)
     max_size = num_nodes
     if max_strategy_size is not None:
         max_size = min(max_strategy_size, num_nodes)

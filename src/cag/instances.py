@@ -20,13 +20,14 @@
   empty strategy: this instance deliberately fails validation and is only
   used for the potential-path test.
 
-Each name takes exactly the parameters listed; a missing or extra one is a
+Each name takes exactly the parameters listed, integers in the ranges
+given; a missing or extra one, or one that is no such integer, is a
 ValueError.
 """
 
 from __future__ import annotations
 
-from .model import Instance, check_build_size
+from .model import Instance, check_build_size, check_count
 from .sequential import SequentialGame
 
 __all__ = ["build_named_instance", "NAMED_INSTANCES"]
@@ -49,10 +50,8 @@ def _example1_minus_dummy() -> Instance:
 
 
 def _poa_lb(n: int, m: int) -> Instance:
-    if n <= m:
-        raise ValueError("poa-lb requires n > m")
-    if m < 1:
-        raise ValueError("poa-lb requires m >= 1")
+    check_count(m, "m")
+    check_count(n, "n", least=m + 1)
     check_build_size("the named instance", n, m, m * (n - m + 1), n * m)
     space = [list(range(m))] + [[j] for j in range(m, n)]
     return Instance.build(
@@ -62,8 +61,7 @@ def _poa_lb(n: int, m: int) -> Instance:
 
 
 def _spoa_family(m: int) -> SequentialGame:
-    if m < 2:
-        raise ValueError("spoa-family requires m >= 2")
+    check_count(m, "m", least=2)
     return SequentialGame.natural(_poa_lb(2 * m - 1, m))
 
 

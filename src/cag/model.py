@@ -49,7 +49,9 @@ class BudgetError(RuntimeError):
 
 def check_budget(inst: Instance, budget: int) -> int:
     """Return the number of profiles of `inst`; raise BudgetError if it
-    exceeds `budget`.  Every exhaustive search calls this before it starts."""
+    exceeds `budget`, which must be a count (`check_count`).  Every
+    exhaustive search calls this before it starts."""
+    check_count(budget, "budget")
     size = inst.profile_space_size()
     if size > budget:
         raise BudgetError(
@@ -93,11 +95,12 @@ def check_build_size(
 
 def exact_number(value, name: str) -> Fraction:
     """`value` as an exact rational: an int, a Fraction or a finite float
-    converts exactly; anything else raises ValueError naming `name`."""
+    converts exactly; anything else, a bool included, raises ValueError
+    naming `name`."""
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    elif not isinstance(value, numbers.Rational):
+    elif isinstance(value, bool) or not isinstance(value, numbers.Rational):
         raise ValueError(
             f"{name} must be an int, a Fraction or a float, got {value!r}"
         )
@@ -117,6 +120,16 @@ def check_index(value, size: int, what: str, error: type = IndexError) -> None:
         raise error(f"{what} must be an integer, got {value!r}")
     if not 0 <= value < size:
         raise error(f"{what} {value} out of range")
+
+
+def check_count(value, what: str, least: int = 1) -> None:
+    """Raise ValueError naming `what` unless `value` is an int (`is_int`)
+    of at least `least`: the one reader of a size, bound, budget or job
+    count argument."""
+    if not is_int(value):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{what} must be at least {least}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -350,13 +350,13 @@ def best_response_leaves(inst):
 def profiles_tested_by(call):
     """The profiles `call()` sends to the walk's leaf test."""
     tested = []
-    original = Evaluator.is_pne_among
+    original = Evaluator.is_approx_pne
 
-    def recording(self, choices, loads, agents, options):
+    def recording(self, choices, loads, *rest):
         tested.append(tuple(choices))
-        return original(self, choices, loads, agents, options)
+        return original(self, choices, loads, *rest)
 
-    with mock.patch.object(Evaluator, "is_pne_among", recording):
+    with mock.patch.object(Evaluator, "is_approx_pne", recording):
         call()
     return tested
 
@@ -428,6 +428,68 @@ def test_dominance_shortcuts_are_exact(inst):
                 for s in range(len(agent.strategies))
             ]
             assert max(row) == max(row[s] for s in live[i]), (choices, i)
+
+
+@settings(max_examples=200, deadline=None)
+@given(games_with_twins() | generated_games(), st.data())
+def test_restricted_improvement_scan_matches_utility_oracle(inst, data):
+    """`first_improvement` returns the first (agent, strategy), in the
+    order of the agents and strategies asked for, whose `model.utility`
+    exceeds alpha times the agent's own, with the gain scaled by `den`,
+    and None when there is none; `is_approx_pne` agrees, and unrestricted
+    it agrees with `equilibria.is_approx_pne`."""
+    spaces = [range(len(a.strategies)) for a in inst.agents]
+    choices = tuple(data.draw(st.sampled_from(space)) for space in spaces)
+    alpha = data.draw(st.sampled_from([Fraction(1), Fraction(11, 10), Fraction(3, 2)]))
+    agents = data.draw(
+        st.none() | st.lists(st.sampled_from(range(inst.num_agents)), unique=True)
+    )
+    options = data.draw(st.none() | st.tuples(
+        *(st.lists(st.sampled_from(space), unique=True) for space in spaces)
+    ))
+    profile = StrategyProfile(choices)
+    expected = None
+    for i in range(inst.num_agents) if agents is None else agents:
+        own = utility(inst, profile, i)
+        for s in spaces[i] if options is None else options[i]:
+            deviated = StrategyProfile(choices[:i] + (s,) + choices[i + 1:])
+            gain = utility(inst, deviated, i) - own
+            if s != choices[i] and own + gain > alpha * own:
+                expected = (i, s, gain)
+                break
+        if expected is not None:
+            break
+    ev = Evaluator(inst)
+    loads = ev.loads(choices)
+    p, q = alpha.numerator, alpha.denominator
+    found = ev.first_improvement(choices, loads, p, q, agents, options)
+    if expected is None:
+        assert found is None
+    else:
+        i, s, gain = expected
+        assert found == (i, s, gain * ev.den)
+    stable = expected is None
+    assert ev.is_approx_pne(choices, loads, p, q, agents, options) == stable
+    if agents is None and options is None:
+        assert is_approx_pne(inst, profile, alpha) == stable
+
+
+def test_first_improvement_follows_the_order_asked_for():
+    """Both agents gain at both other strategies; the scan takes the first
+    agent and strategy in the orders given, not in index order."""
+    inst = Instance.build(
+        [("q1", 1), ("q2", 2), ("q3", 3)],
+        [("a1", 1, [[0], [1], [2]]), ("a2", 1, [[0], [1], [2]])],
+    )
+    ev = Evaluator(inst)
+    choices = (0, 0)
+    loads = ev.loads(choices)
+    half = ev.den // 2  # each agent has half of q1
+    assert ev.first_improvement(choices, loads, 1, 1) == (0, 1, 4 * half - half)
+    assert ev.first_improvement(choices, loads, 1, 1, [1, 0], [[2, 1]] * 2) == (
+        1, 2, 6 * half - half
+    )
+    assert ev.first_improvement(choices, loads, 1, 1, [0], [[0]] * 2) is None
 
 
 def test_live_queues_a_class_again_after_its_own_drop():

@@ -44,7 +44,7 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         build_named_instance("poa-lb", n=2, m=2)
     for m in (0, -2):
-        with pytest.raises(ValueError, match="poa-lb requires m >= 1"):
+        with pytest.raises(ValueError, match=f"^m must be at least 1, got {m}$"):
             build_named_instance("poa-lb", n=3, m=m)
     with pytest.raises(ValueError):
         build_named_instance("spoa-family", m=1)

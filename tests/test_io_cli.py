@@ -774,8 +774,8 @@ def test_cli_gadget_reduction_with_mapping(tmp_path, capsys):
         (["spoa-family", "--n", "3", "--m", "2"], "takes no parameter n"),
         (["poa-lb", "--n", "4"], "requires parameters n and m"),
         (["poa-lb(4,2)"], "unknown gadget kind"),
-        (["poa-lb", "--n", "3", "--m", "0"], "requires m >= 1"),
-        (["poa-lb", "--n", "3", "--m", "-2"], "requires m >= 1"),
+        (["poa-lb", "--n", "3", "--m", "0"], "m must be at least 1, got 0"),
+        (["poa-lb", "--n", "3", "--m", "-2"], "m must be at least 1, got -2"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )

@@ -16,12 +16,19 @@ from cag import (
     StrategyProfile,
     analyze,
     best_response,
+    build_named_instance,
     classify_symmetry,
+    decompose_fraction,
+    edge_gadget_terms,
+    gen_random,
     is_approx_pne,
     load,
+    optimal_social_welfare,
+    pne_exists,
     run_dynamics,
     social_welfare,
     spe_decision,
+    spe_solve,
     spoa,
     utility,
     validate_instance,
@@ -29,6 +36,7 @@ from cag import (
 from cag import model
 from cag.dynamics import epsilon_step_bound
 from cag.engine import Evaluator
+from cag.gadgets import first_primes
 
 from conftest import instances, instances_with_profiles
 
@@ -529,3 +537,78 @@ def test_index_arguments_must_be_ints(call, error, text, index):
     call(inst, 1)
     with pytest.raises(error, match=f"^{text}"):
         call(inst, index)
+
+
+@pytest.mark.parametrize(
+    "name, call", [e[1:] for e in _NUMBER_ENTRY_POINTS],
+    ids=[e[0] for e in _NUMBER_ENTRY_POINTS],
+)
+def test_entry_points_refuse_bool_numbers_by_name(name, call):
+    """A bool is refused as a string is, not read as 0 or 1."""
+    inst = Instance.build([("q1", 1), ("q2", 2)], [("a1", 1, [[0], [1]])])
+    text = f"^{name} must be an int, a Fraction or a float, got True$"
+    with pytest.raises(ValueError, match=text):
+        call(inst, StrategyProfile((0,)), True)
+
+
+_COUNT_GAME = Instance.build([("q1", 1), ("q2", 2)], [("a1", 1, [[0], [1]])])
+
+
+def _gen(**sizes):
+    base = dict(num_nodes=1, num_agents=1, num_strategies=1)
+    return gen_random("symmetric", 1, **{**base, **sizes})
+
+
+# (entry point, the argument it names, a call passing that argument, a
+# valid value, the least valid value)
+_COUNT_ENTRY_POINTS = [
+    ("analyze-jobs", "jobs", lambda v: analyze(_COUNT_GAME, jobs=v), 1, 1),
+    ("run_dynamics-max_steps", "max_steps", lambda v: run_dynamics(
+        _COUNT_GAME, StrategyProfile((0,)),
+        DynamicsConfig(mode="epsilon", max_steps=v)), 1, 1),
+    ("analyze-budget", "budget", lambda v: analyze(_COUNT_GAME, budget=v), 2, 1),
+    ("pne_exists-budget", "budget", lambda v: pne_exists(_COUNT_GAME, budget=v), 2, 1),
+    ("optimal_social_welfare-budget", "budget",
+     lambda v: optimal_social_welfare(_COUNT_GAME, budget=v), 2, 1),
+    ("spe_solve-budget", "budget",
+     lambda v: spe_solve(SequentialGame.natural(_COUNT_GAME), budget=v), 2, 1),
+    ("spe_decision-budget", "budget",
+     lambda v: spe_decision(SequentialGame.natural(_COUNT_GAME), 0, 1, budget=v), 2, 1),
+    ("spoa-budget", "budget",
+     lambda v: spoa(SequentialGame.natural(_COUNT_GAME), budget=v), 2, 1),
+    ("gen_random-num_nodes", "num_nodes", lambda v: _gen(num_nodes=v), 1, 1),
+    ("gen_random-num_agents", "num_agents", lambda v: _gen(num_agents=v), 1, 1),
+    ("gen_random-num_strategies", "num_strategies",
+     lambda v: _gen(num_strategies=v), 1, 1),
+    ("gen_random-max_strategy_size", "max_strategy_size",
+     lambda v: _gen(max_strategy_size=v), 1, 1),
+    ("gen_random-max_weight", "max_weight", lambda v: _gen(max_weight=v), 1, 1),
+    ("gen_random-max_value", "max_value", lambda v: _gen(max_value=v), 1, 1),
+    ("poa-lb-n", "n", lambda v: build_named_instance("poa-lb", n=v, m=1), 2, 2),
+    ("poa-lb-m", "m", lambda v: build_named_instance("poa-lb", n=3, m=v), 1, 1),
+    ("spoa-family-m", "m", lambda v: build_named_instance("spoa-family", m=v), 2, 2),
+    ("decompose_fraction-n", "n", lambda v: decompose_fraction(v, 1), 1, 1),
+    ("decompose_fraction-w", "w", lambda v: decompose_fraction(2, v), 1, 0),
+    ("edge_gadget_terms-w_bar", "w_bar", lambda v: edge_gadget_terms(v, 1), 1, 1),
+    ("edge_gadget_terms-w", "w", lambda v: edge_gadget_terms(2, v), 1, 0),
+    ("first_primes-n", "n", lambda v: first_primes(v), 1, 0),
+]
+
+
+@pytest.mark.parametrize("value", [True, 2.5, "1"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize(
+    "what, call, valid, least", [e[1:] for e in _COUNT_ENTRY_POINTS],
+    ids=[e[0] for e in _COUNT_ENTRY_POINTS],
+)
+def test_count_arguments_must_be_ints_of_at_least_their_floor(
+    what, call, valid, least, value
+):
+    """Every size, bound, budget and job count goes through
+    `model.check_count`: a bool, float or string is refused by name, not
+    coerced or left to raise TypeError, and so is an int below the floor."""
+    call(valid)
+    with pytest.raises(ValueError, match=f"^{what} must be an integer, got {value!r}$"):
+        call(value)
+    below = f"^{what} must be at least {least}, got {least - 1}$"
+    with pytest.raises(ValueError, match=below):
+        call(least - 1)

@@ -71,6 +71,29 @@ def test_tracer_installs_and_uninstalls(perfbench):
     assert dict(vars(engine.Evaluator)) == before
 
 
+@pytest.mark.parametrize("name", ["symmetric", "weighted"])
+def test_tracer_counts_the_walks_leaf_tests(perfbench, name):
+    """`engine.pne_tests` counts the calls of `Evaluator.is_approx_pne`,
+    which is `analyze`'s leaf test: moving that test out of the traced
+    method would make the metric read 0."""
+    workload = perfbench.workloads.WORKLOADS[name]
+    inputs = workload.setup(1, workload.sizes["tiny"])
+    tracer = perfbench.tracing.Tracer()
+    tracer.install()
+    try:
+        outs, seconds = perfbench.run.run_pass(workload, inputs, tracer)
+    finally:
+        tracer.uninstall()
+    assert None not in outs
+    metrics = perfbench.tracing.layer_metrics(
+        tracer, perfbench.tracing.Tracer(), len(inputs), seconds, seconds
+    )
+    key = ("engine.Evaluator.is_approx_pne", "equilibria.analyze")
+    leaf_tests = tracer.hot.get(key, [0])[0]
+    assert metrics["engine.pne_tests"] >= leaf_tests / len(inputs) > 0
+    assert metrics["equilibria.pne_tests_per_profile"] > 0
+
+
 def test_reference_script_calls_bind_to_the_library():
     tree = ast.parse((PERFBENCH / "reference.py").read_text(encoding="utf-8"))
     modules = {
