@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -39,10 +40,10 @@ from .model import (
     BudgetError,
     StrategyProfile,
     _all_loads,
+    _utility_at,
     check_profile,
     classify_symmetry,
     social_welfare,
-    utility,
     validate_instance,
 )
 from .potentials import log_potential, rosenthal_potential, two_agent_potential
@@ -51,17 +52,24 @@ from .sequential import SequentialGame, spe_solve, spoa
 __all__ = ["main", "run_cli"]
 
 
+_DECIMAL = re.compile(r"[0-9.eE+-]+")
+
+
 def _budget(flag: str | None) -> int:
     """--budget if given, else CAG_BUDGET if set, else the default; each a
-    whole number >= 1, such as "5000" or "1e7", parsed exactly."""
+    whole number >= 1 in ASCII decimal text, such as "5000" or "1e7",
+    parsed exactly."""
     env = os.environ.get("CAG_BUDGET")
     if flag is None and not env:
         return DEFAULT_BUDGET
     text, source = (flag, "") if flag is not None else (env, "CAG_BUDGET: ")
     try:
-        # float() first, so that an exponent like 1e-999999999 is refused
-        # before Fraction builds a power of ten that large
-        value = Fraction(text) if 1 <= float(text) < math.inf else None
+        # ASCII decimal text only: float() and Fraction() would also take
+        # underscores, spaces and non-ASCII digits.  float() first, so that
+        # an exponent like 1e-999999999 is refused before Fraction builds a
+        # power of ten that large
+        ok = _DECIMAL.fullmatch(text) and 1 <= float(text) < math.inf
+        value = Fraction(text) if ok else None
     except ValueError:
         value = None
     if value is None or value.denominator != 1:
@@ -69,6 +77,30 @@ def _budget(flag: str | None) -> int:
             f"{source}invalid budget {text!r}: expected a whole number >= 1"
         )
     return int(value)
+
+
+# flags read as text and converted by `_int_flags` after parsing, so that a
+# malformed value is refused in one line, not with argparse's usage block
+_INT_FLAGS = (
+    "--seed", "--nodes", "--agents", "--strategies", "--max-strategy-size",
+    "--max-weight", "--max-value", "--n", "--m", "--max-steps", "--jobs",
+)
+
+
+def _int_flags(args) -> None:
+    """Convert each of `_INT_FLAGS` given as text through the number text
+    of `io` (ASCII digits, an optional leading "-"); anything else, such
+    as "1_0", " 2", "+1" or a non-ASCII digit, is a ValueError naming the
+    flag."""
+    for flag in _INT_FLAGS:
+        name = flag[2:].replace("-", "_")
+        text = getattr(args, name, None)
+        if not isinstance(text, str):
+            continue
+        match = io._NUMBER.fullmatch(text)
+        if match is None or match[2] is not None:
+            raise ValueError(f"{flag}: malformed integer {text!r}")
+        setattr(args, name, io._to_int(match[1], f"{flag}:"))
 
 
 def _read(path: str) -> str:
@@ -150,11 +182,13 @@ def _cmd_eval(args) -> int:
     profile = _profile_arg(args.profile, "--profile")
     check_profile(inst, profile)
     flags = classify_symmetry(inst)
+    # one load pass for every agent's utility, not one per agent
+    loads = _all_loads(inst, profile)
     data = {
-        "loads": _all_loads(inst, profile),
+        "loads": loads,
         "utilities": [
-            io.rational_str(utility(inst, profile, i))
-            for i in range(inst.num_agents)
+            io.rational_str(_utility_at(inst, loads, i, choice))
+            for i, choice in enumerate(profile.choices)
         ],
         "social-welfare": social_welfare(inst, profile),
         "symmetry": {
@@ -329,14 +363,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", help="epsilon mode: rational like 1/10 (default 0)")
     p.add_argument("--alpha", type=float, default=None, help="alpha mode")
     p.add_argument("--allow-any-alpha", action="store_true", help="alpha mode")
-    p.add_argument("--max-steps", type=int, default=100_000)
+    p.add_argument("--max-steps", default=100_000)
     p.add_argument("--start", help="profile file or '0,1,0'")
     p.set_defaults(func=_cmd_dynamics)
 
     p = with_output(sub.add_parser("analyze", help="equilibrium report"))
     p.add_argument("instance")
     p.add_argument("--budget")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", default=1)
     p.set_defaults(func=_cmd_analyze)
 
     p = with_output(sub.add_parser("spe", help="subgame-perfect outcomes"))
@@ -357,8 +391,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("kind", help="|".join(_GADGETS))
     p.add_argument("input", nargs="?", help="input file for reductions")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--n")
+    p.add_argument("--m")
     p.add_argument("--symmetrize", action="store_true", help="3dm: symmetrize output")
     p.add_argument("--split", action="store_true", help="symmetrize: unit-split values")
     p.add_argument("--pad", action="store_true", help="tqbf: pad to a valid shape")
@@ -371,13 +405,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = with_output(sub.add_parser("gen", help="deterministic random instance"))
     p.add_argument("--kind", choices=GENERATOR_KINDS, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--nodes", type=int, default=6)
-    p.add_argument("--agents", type=int, default=3)
-    p.add_argument("--strategies", type=int, default=3)
-    p.add_argument("--max-strategy-size", type=int, default=None)
-    p.add_argument("--max-weight", type=int, default=9)
-    p.add_argument("--max-value", type=int, default=9)
+    p.add_argument("--seed", required=True)
+    p.add_argument("--nodes", default=6)
+    p.add_argument("--agents", default=3)
+    p.add_argument("--strategies", default=3)
+    p.add_argument("--max-strategy-size")
+    p.add_argument("--max-weight", default=9)
+    p.add_argument("--max-value", default=9)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("verify", help="replay the acceptance suite")
@@ -396,6 +430,7 @@ def run_cli(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _int_flags(args)
         if hasattr(args, "budget"):
             args.budget = _budget(args.budget)
         return args.func(args)

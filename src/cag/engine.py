@@ -23,13 +23,18 @@ test through `is_approx_pne`); `join_row` scores a row likewise.
 
 `undominated` owns the dominance bound behind every pruned search: it
 keeps the strategies whose best case reaches the largest worst case, both
-scored with `share` at loads the caller bounds.  `live` iterates it to a
-fixpoint with a worklist into the strategies `equilibria._walk` visits and
-scores, and the sequential walk skips with it the choices no mode could
-keep.  The engine also owns the welfare optimum, `optimum`: a depth-first
-search over the choosing agents, memoized on the depth and the covered
-nodes that the agents still to choose can hold, whose every scan stops at
-the cover bound.
+scored with `share` at loads the caller bounds.  The engine also owns the
+load bounds themselves.  Construction keeps, per agent i, ``every[i]``
+and ``some[i]``, the nodes that every, or some, strategy of i holds
+(``some`` also sizes the reach bitsets), and `held` weighs them per node
+over the agents asked for.  `live` starts from copies of these and
+iterates `undominated` to a fixpoint with a worklist into the strategies
+`equilibria._walk` visits and scores; the sequential walk's `_cuts` reads
+them to skip the choices no mode could keep.
+
+The welfare optimum, `optimum`, is a depth-first search over the choosing
+agents, memoized on the depth and the covered nodes that the agents still
+to choose can hold, whose every scan stops at the cover bound.
 
 The engine is read-only after construction and safe to share.
 """
@@ -66,8 +71,9 @@ class Evaluator:
         self.space_sets = [
             [frozenset(s) for s in a.strategies] for a in inst.agents
         ]
-        attracts = [set().union(*space) for space in self.spaces]
-        every = set().union(*attracts)
+        # some[i]: the nodes some strategy of agent i holds
+        self.some = [frozenset().union(*sets) for sets in self.space_sets]
+        held = frozenset().union(*self.some)
         # a float or bool number would be indexed or shifted as an int, and
         # a node listed twice would count twice in a load, once in `reach`
         kinds = {*map(type, chain(self.weights, self.values, *chain(*self.spaces)))}
@@ -82,8 +88,8 @@ class Evaluator:
                 for sets, space in zip(self.space_sets, self.spaces)
                 for f, s in zip(sets, space)
             )
-            and 0 <= min(every)
-            and max(every) < self.num_nodes
+            and 0 <= min(held)
+            and max(held) < self.num_nodes
         ):
             raise ValueError(
                 "invalid-instance: " + "; ".join(validate_instance(inst).errors)
@@ -100,9 +106,11 @@ class Evaluator:
                 f"search-space-too-large: total weight {total} exceeds "
                 f"{DEFAULT_BUDGET}, the size limit of the load table"
             )
+        # every[i]: the nodes every strategy of agent i holds
+        self.every = [frozenset.intersection(*sets) for sets in self.space_sets]
         # reach[j]: bit c set iff some set of j's potential attractors weighs c
         reach = [1] * self.num_nodes
-        for w, nodes in zip(self.weights, attracts):
+        for w, nodes in zip(self.weights, self.some):
             for j in nodes:
                 reach[j] |= reach[j] << w
         union = 0
@@ -195,6 +203,19 @@ class Evaluator:
                     loads[j] += w
         return loads, [0] * self.num_agents, active
 
+    def held(self, agents) -> tuple[list[int], list[int]]:
+        """Per node j, the weight of the agents of `agents` whose every
+        strategy holds j, and of those whose some strategy holds j."""
+        held_all = [0] * self.num_nodes
+        held_any = [0] * self.num_nodes
+        for i in agents:
+            w = self.weights[i]
+            for j in self.every[i]:
+                held_all[j] += w
+            for j in self.some[i]:
+                held_any[j] += w
+        return held_all, held_any
+
     def undominated(self, agent: int, options, hi, lo) -> list[int]:
         """The strategies of `options`, in their order, whose best case is
         at least the largest worst case among `options`.
@@ -240,7 +261,10 @@ class Evaluator:
         strategy through j, i itself included.  Every live profile of the
         others lies between the two, so a dropped strategy is never a best
         response.  `classes` lists interchangeable agents; a class is
-        scored through its first member, so members keep equal lists.
+        scored through its first member, so members keep equal lists.  F
+        and M start as the `held` tables of all agents, and each agent's
+        live node sets as copies of `every` and `some`, which stay as
+        built.
 
         A worklist reaches the fixpoint: a class is scored again only when
         F or M moved at a node of its live strategies.  A class's own drop
@@ -254,18 +278,11 @@ class Evaluator:
         lists, the ones rounds over every class would reach."""
         weights, sets = self.weights, self.space_sets
         live = [list(range(len(space))) for space in self.spaces]
-        # every[i], some[i]: the nodes every, or some, live strategy of i holds
-        every = [frozenset.intersection(*space) for space in sets]
-        some = [frozenset.union(*space) for space in sets]
-        # held_all[j], held_any[j]: the weight of the agents whose every, or
-        # some, live strategy holds j
-        held_all = [0] * self.num_nodes
-        held_any = [0] * self.num_nodes
-        for i, w in enumerate(weights):
-            for j in every[i]:
-                held_all[j] += w
-            for j in some[i]:
-                held_any[j] += w
+        # every[i], some[i]: the nodes every, or some, live strategy of i
+        # holds; held_all[j], held_any[j]: the weight of the agents whose
+        # every, or some, live strategy holds j
+        every, some = self.every[:], self.some[:]
+        held_all, held_any = self.held(range(self.num_agents))
         pending = [k for k, members in enumerate(classes) if len(live[members[0]]) > 1]
         queued = set(pending)
         pending.reverse()  # popped from the end: classes in order first

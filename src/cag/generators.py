@@ -61,10 +61,14 @@ def gen_random(
     ``s-asymmetric`` (per-agent spaces), ``w-asymmetric`` (weighted agents),
     ``asymmetric`` (all three components asymmetric).  A single agent
     cannot have asymmetric spaces: with ``num_agents=1`` the space-asymmetric
-    kinds draw its ``num_strategies`` strategies like any other.
+    kinds draw its ``num_strategies`` strategies like any other.  `seed`
+    is an int of at least 0 (`check_count`).
     """
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"unknown instance kind {kind!r}")
+    # random.Random would take a float or bool as the same int, and fold a
+    # negative seed onto its absolute value
+    check_count(seed, "seed", least=0)
     for name, bound in (
         ("num_nodes", num_nodes),
         ("num_agents", num_agents),

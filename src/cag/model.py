@@ -264,10 +264,15 @@ def utility(inst: Instance, profile: StrategyProfile, agent: int) -> Fraction:
     its value times the agent's weight share of the node's load."""
     check_profile(inst, profile)
     check_index(agent, inst.num_agents, "agent index")
-    loads = _all_loads(inst, profile)
+    return _utility_at(inst, _all_loads(inst, profile), agent, profile.choices[agent])
+
+
+def _utility_at(inst: Instance, loads, agent: int, choice: int) -> Fraction:
+    """`utility` of `agent` at strategy `choice`, where `loads`, every
+    node's load, include the agent's own weight on that strategy."""
     a = inst.agents[agent]
     total = Fraction(0)
-    for j in a.strategies[profile.choices[agent]]:
+    for j in a.strategies[choice]:
         total += Fraction(a.weight * inst.nodes[j].value, loads[j])
     return total
 

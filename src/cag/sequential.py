@@ -122,51 +122,40 @@ def _cuts(ev: Evaluator, placed, active):
     """Per depth of `active`, None where no state can skip a choice (the
     last depth among them), else the offsets (hi, lo) the walk adds to a
     state's loads: ``hi[j]`` and ``lo[j]`` are the mover's weight plus the
-    weight of the later movers whose every, or some, strategy holds node j.
+    weight of the later movers whose every, or some, strategy holds node j,
+    read from `Evaluator.held`.
 
     A depth is None when `Evaluator.undominated` drops nothing with each
     earlier mover on every node it can hold in the best case and only on
     the nodes it must hold in the worst: those loads bound the best and
-    the worst case of every state of the depth.  Each mover's
-    intersection and union are formed once, and the offsets only at the
-    depths that need them."""
-    weights, sets = ev.weights, ev.space_sets
-    every = [frozenset.intersection(*sets[i]) for i in active]
-    some = [frozenset.union(*sets[i]) for i in active]
+    the worst case of every state of the depth.  Offsets are built only at
+    the depths that need them."""
+    weights, every, some = ev.weights, ev.every, ev.some
+    # later_all, later_any: the held weights of the movers from depth t on,
+    # and after the mover is taken out, of the later ones
+    later_all, later_any = ev.held(active)
     # At depth t and a node j of the mover, hi_load[j] weighs the mover, the
     # earlier movers that can hold j and the later ones that must: the most
     # load a best case can meet.  lo_load[j] weighs the mover, the earlier
     # movers that must hold j and the later ones that can: the least load a
     # worst case can meet.  `loose` holds the nodes the mover can leave.
-    hi_load, lo_load = placed[:], placed[:]
-    for k, mover in enumerate(active):
-        w = weights[mover]
-        for j in every[k]:
-            hi_load[j] += w
-        for j in some[k]:
-            lo_load[j] += w
-    need = [False] * len(active)
-    for t in range(len(active) - 1):
-        mover = active[t]
-        w, loose = weights[mover], some[t] - every[t]
+    hi_load = [*map(add, placed, later_all)]
+    lo_load = [*map(add, placed, later_any)]
+    cuts = [None] * len(active)
+    for t, mover in enumerate(active[:-1]):
+        w, must, can = weights[mover], every[mover], some[mover]
+        for j in must:
+            later_all[j] -= w
+        for j in can:
+            later_any[j] -= w
+        loose = can - must
         for j in loose:
             hi_load[j] += w
-        options = range(len(sets[mover]))
-        need[t] = len(ev.undominated(mover, options, hi_load, lo_load)) < len(options)
+        options = range(len(ev.spaces[mover]))
+        if len(ev.undominated(mover, options, hi_load, lo_load)) < len(options):
+            cuts[t] = ([w + c for c in later_all], [w + c for c in later_any])
         for j in loose:
             lo_load[j] -= w
-    cuts = [None] * len(active)
-    if any(need):
-        held_all = [0] * ev.num_nodes
-        held_any = [0] * ev.num_nodes
-        for t in range(len(active) - 1, need.index(True) - 1, -1):
-            w = weights[active[t]]
-            if need[t]:
-                cuts[t] = ([w + c for c in held_all], [w + c for c in held_any])
-            for j in every[t]:
-                held_all[j] += w
-            for j in some[t]:
-                held_any[j] += w
     return cuts
 
 

@@ -1,10 +1,12 @@
 import concurrent.futures
+import copy
 import hashlib
 import itertools
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 import pytest
@@ -25,7 +27,7 @@ from cag import (
     social_welfare,
     utility,
 )
-from cag import io
+from cag import equilibria, io, sequential
 from cag.engine import Evaluator
 from cag.equilibria import EquilibriumReport, _classes, _worker_count
 
@@ -490,6 +492,40 @@ def test_first_improvement_follows_the_order_asked_for():
         1, 2, 6 * half - half
     )
     assert ev.first_improvement(choices, loads, 1, 1, [0], [[0]] * 2) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(generated_games(), st.data())
+def test_no_search_changes_a_shared_evaluator(inst, data):
+    """An `Evaluator` is shared read-only: no walk, fixpoint, optimum or
+    improvement scan changes what it holds, so `live` shrinks copies of
+    its `every` and `some` lists, which are each agent's intersection and
+    union of strategies."""
+    ev = Evaluator(inst)
+    assert ev.every == [frozenset.intersection(*map(frozenset, a.strategies))
+                        for a in inst.agents]
+    assert ev.some == [frozenset().union(*a.strategies) for a in inst.agents]
+    order = data.draw(st.permutations(range(inst.num_agents)))
+    choices = tuple(data.draw(st.integers(0, len(a.strategies) - 1))
+                    for a in inst.agents)
+    goal = data.draw(st.integers(0, ev.den * sum(ev.values)))
+    calls = {
+        "equilibria._walk": lambda: equilibria._walk(ev),
+        "live": lambda: ev.live(_classes(inst)),
+        "optimum": ev.optimum,
+        "first_improvement": lambda: ev.first_improvement(
+            choices, ev.loads(choices), 1, 1
+        ),
+    }
+    for exhaustive in (True, False):
+        for aim in (None, goal):
+            calls[f"sequential._walk {exhaustive} {aim}"] = partial(
+                sequential._walk, ev, order, order, exhaustive, aim
+            )
+    snapshot = copy.deepcopy(vars(ev))
+    for name, call in calls.items():
+        call()
+        assert vars(ev) == snapshot, name
 
 
 def test_live_queues_a_class_again_after_its_own_drop():

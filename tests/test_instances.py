@@ -101,6 +101,11 @@ def test_generator_is_deterministic_and_valid():
         assert validate_instance(first).ok
     with pytest.raises(ValueError):
         gen_random("mystery", seed=0)
+    # random.Random would fold -7 onto 7, take True and 1.0 as 1, and raise
+    # TypeError on a list
+    for seed in (-7, True, 1.0, [1], "1"):
+        with pytest.raises(ValueError, match="^seed must be"):
+            gen_random("symmetric", seed=seed)
 
 
 @pytest.mark.parametrize("kind", ["s-asymmetric", "asymmetric"])

@@ -22,6 +22,7 @@ from cag import (
     TqbfFormula,
     analyze,
     build_named_instance,
+    gen_random,
     maxcut_to_cag,
     run_dynamics,
     spe_solve,
@@ -29,7 +30,7 @@ from cag import (
     tdm_to_cag,
     tqbf_to_cag,
 )
-from cag import io
+from cag import cli, io, model
 from cag.cli import run_cli
 from cag.equilibria import EquilibriumReport
 
@@ -137,9 +138,11 @@ def test_parse_rational_refuses_text_past_the_digit_limit(text, part):
         (["dynamics", "INST", "--start", "0," + _HUGE + ",0"], "--start choice"),
         (["analyze", "HUGE"], "JSON number"),
         (["eval", "INST", "--profile", "HUGE"], "JSON number"),
+        (["gen", "--kind", "symmetric", "--seed", _HUGE], "--seed:"),
+        (["analyze", "INST", "--jobs", _HUGE], "--jobs:"),
     ],
     ids=["eps", "eps-denominator", "eval-profile", "potential-profile",
-         "dynamics-start", "instance-file", "profile-file"],
+         "dynamics-start", "instance-file", "profile-file", "seed", "jobs"],
 )
 def test_cli_refuses_number_text_past_the_digit_limit(
     example1_file, tmp_path, capsys, argv, named
@@ -481,6 +484,40 @@ def test_cli_eval(example1_file, capsys):
     assert data["social-welfare"] == 6
 
 
+def test_cli_eval_passes_over_the_loads_a_fixed_number_of_times(
+    tmp_path, capsys, monkeypatch
+):
+    """`eval` scores every agent from one set of loads, so its load passes
+    do not grow with the agents; each utility is `model.utility`'s."""
+    all_loads, passes = model._all_loads, []
+
+    def counted(inst, profile):
+        passes.append(inst.num_agents)
+        return all_loads(inst, profile)
+
+    counts, reports = [], []
+    for agents in (1, 40):
+        inst = gen_random("w-asymmetric", 1, num_nodes=5, num_agents=agents,
+                          num_strategies=2)
+        path = tmp_path / f"{agents}.json"
+        path.write_text(io.dumps_instance(inst))
+        profile = StrategyProfile(tuple(i % 2 for i in range(agents)))
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "_all_loads", counted)
+            patch.setattr(cli, "_all_loads", counted)
+            passes.clear()
+            argv = ["eval", str(path), "--profile", ",".join(map(str, profile.choices))]
+            assert run_cli(argv) == 0
+            counts.append(len(passes))
+        reports.append((inst, profile, json.loads(capsys.readouterr().out)))
+    assert counts[0] == counts[1] <= 2
+    for inst, profile, data in reports:
+        assert data["utilities"] == [
+            io.rational_str(model.utility(inst, profile, i))
+            for i in range(inst.num_agents)
+        ]
+
+
 def test_cli_potential(example1_file, tmp_path, capsys):
     unit = tmp_path / "unit.json"
     run_cli(["gadget", "poa-lb", "--n", "3", "--m", "2", "-o", str(unit)])
@@ -589,7 +626,8 @@ def _single_error_line(capsys) -> str:
     return lines[0]
 
 
-BAD_BUDGETS = ["abc", "inf", "nan", "1.5", "0", "-5", "1e-400", "1e400"]
+BAD_BUDGETS = ["abc", "inf", "nan", "1.5", "0", "-5", "1e-400", "1e400",
+               "1_000", " 10", "10 ", "\u0661\u0660", "1e1_0"]
 
 
 @pytest.mark.parametrize("value", BAD_BUDGETS)
@@ -708,6 +746,30 @@ def test_cli_refuses_malformed_profile_text(example1_file, capsys, flag, text):
 def test_cli_gen_rejects_bounds_below_one(capsys, flag):
     assert run_cli(["gen", "--kind", "asymmetric", "--seed", "1", flag, "0"]) == 2
     assert "must be at least 1" in _single_error_line(capsys)
+
+
+_INT_FLAG_COMMANDS = {
+    flag: ["gen", "--kind", "asymmetric", "--seed", "1"]
+    for flag in ("--seed", "--nodes", "--agents", "--strategies",
+                 "--max-strategy-size", "--max-weight", "--max-value")
+} | {
+    "--n": ["gadget", "poa-lb", "--m", "2"],
+    "--m": ["gadget", "poa-lb", "--n", "2"],
+    "--max-steps": ["dynamics", "INST"],
+    "--jobs": ["analyze", "INST"],
+}
+
+
+@pytest.mark.parametrize(
+    "text", ["1_0", " 2", "+1", "\u0663", "1/1", "1.0", "x"]
+)
+@pytest.mark.parametrize("flag", list(_INT_FLAG_COMMANDS))
+def test_cli_integer_flags_take_only_ascii_integer_text(example1_file, capsys, flag, text):
+    """An integer flag reads the number text `--eps` and profiles read,
+    and refuses anything else in one line instead of coercing it."""
+    argv = [str(example1_file) if a == "INST" else a for a in _INT_FLAG_COMMANDS[flag]]
+    assert run_cli([*argv, flag, text]) == 2
+    assert _single_error_line(capsys) == f"cag: {flag}: malformed integer {text!r}"
 
 
 def test_cli_missing_file_is_input_error(capsys):

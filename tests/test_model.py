@@ -576,6 +576,7 @@ _COUNT_ENTRY_POINTS = [
      lambda v: spe_decision(SequentialGame.natural(_COUNT_GAME), 0, 1, budget=v), 2, 1),
     ("spoa-budget", "budget",
      lambda v: spoa(SequentialGame.natural(_COUNT_GAME), budget=v), 2, 1),
+    ("gen_random-seed", "seed", lambda v: gen_random("symmetric", v), 0, 0),
     ("gen_random-num_nodes", "num_nodes", lambda v: _gen(num_nodes=v), 1, 1),
     ("gen_random-num_agents", "num_agents", lambda v: _gen(num_agents=v), 1, 1),
     ("gen_random-num_strategies", "num_strategies",

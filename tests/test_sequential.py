@@ -411,17 +411,10 @@ def _offsets_at_every_depth(ev, placed, active):
     but the last, the mover's weight plus the weight of the later movers
     whose every, or some, strategy holds each node."""
     cuts = [None] * len(active)
-    held_all = [0] * ev.num_nodes
-    held_any = [0] * ev.num_nodes
-    for t in reversed(range(len(active))):
+    for t in range(len(active) - 1):
         w = ev.weights[active[t]]
-        if t < len(active) - 1:
-            cuts[t] = ([w + c for c in held_all], [w + c for c in held_any])
-        space = ev.space_sets[active[t]]
-        for j in frozenset.intersection(*space):
-            held_all[j] += w
-        for j in frozenset.union(*space):
-            held_any[j] += w
+        held_all, held_any = ev.held(active[t + 1:])
+        cuts[t] = ([w + c for c in held_all], [w + c for c in held_any])
     return cuts
 
 
