@@ -7,10 +7,9 @@ counts are usually far below the bound.
 """
 
 import argparse
-import os
-import sys
 from fractions import Fraction
 
+from _common import count, run
 from cag import DynamicsConfig, StrategyProfile, gen_random, run_dynamics
 from cag.dynamics import epsilon_step_bound
 from cag.io import parse_rational
@@ -26,21 +25,11 @@ def positive_rational(text: str) -> Fraction:
     return value
 
 
-def positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return value
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--instances", type=positive_int, default=50)
-    parser.add_argument("--agents", type=positive_int, default=4)
-    parser.add_argument("--nodes", type=positive_int, default=10)
+    parser.add_argument("--instances", type=count(1), default=50)
+    parser.add_argument("--agents", type=count(1), default=4)
+    parser.add_argument("--nodes", type=count(1), default=10)
     parser.add_argument(
         "--eps", type=positive_rational, default="1/10", help="rational like 1/10"
     )
@@ -73,10 +62,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except BrokenPipeError:
-        # the reader stopped early (`| head`); send the unflushed rest of
-        # stdout to devnull so the exit does not raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+    run(main)

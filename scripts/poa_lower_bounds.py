@@ -8,16 +8,15 @@ while the optimum spreads out.  The printed ratio is n/m while n < 2m and
 """
 
 import argparse
-import os
-import sys
 
+from _common import count, run
 from cag import analyze, build_named_instance, social_welfare
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-agents", type=int, default=4)
-    parser.add_argument("--max-nodes", type=int, default=10)
+    parser.add_argument("--max-agents", type=count(1), default=4)
+    parser.add_argument("--max-nodes", type=count(1), default=10)
     args = parser.parse_args()
 
     print(f"{'n':>3} {'m':>3} {'opt':>4} {'worst-eq':>8} {'poa':>8}")
@@ -30,10 +29,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except BrokenPipeError:
-        # the reader stopped early (`| head`); send the unflushed rest of
-        # stdout to devnull so the exit does not raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+    run(main)

@@ -9,9 +9,8 @@ potential identity on every assignment.
 
 import argparse
 import itertools
-import os
-import sys
 
+from _common import count, run
 from cag import (
     CutGraph,
     StrategyProfile,
@@ -24,7 +23,7 @@ from cag import (
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-exponent", type=int, default=8)
+    parser.add_argument("--max-exponent", type=count(0), default=8)
     args = parser.parse_args()
 
     print(f"{'weight':>8} {'nodes':>7} {'dummies':>8} {'lambda':>14}")
@@ -49,10 +48,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    try:
-        main()
-    except BrokenPipeError:
-        # the reader stopped early (`| head`); send the unflushed rest of
-        # stdout to devnull so the exit does not raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.exit(1)
+    run(main)

@@ -32,10 +32,12 @@ Two modes are provided:
   ``c' + 1`` counts one agent more than can ever be there, and may be one
   past the end of ``share``; a trailing 0 makes ``off`` formable there.
   Whatever ``off`` is then, no agent is off the node, so every entry that
-  gets it gets it back.  The table is built once per run, with its index:
-  per node the flat indices through it and its holders, per agent and
-  node the agent's own indices.  A step costs integer adds over the moved
-  nodes' entries plus a max over each row.
+  gets it gets it back.  The table is built once per run, in one pass
+  over the strategies, with its index: per node, the flat indices through
+  it and its holders' flat indices through it.  There is no per-agent
+  index: the mover's own indices through a node are the part of the
+  node's ascending list inside the mover's row.  A step costs integer
+  adds over the moved nodes' entries plus a max over each row.
 
 * ``alpha``: for weighted instances.  While some agent can multiply its
   utility by more than ``alpha``, the first such deviation in lexicographic
@@ -51,6 +53,7 @@ inputs produce identical traces.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -187,11 +190,11 @@ def run_dynamics(
     if cfg.mode == "epsilon":
         # improvement test: dev * q > cur * (q + p)  <=>  dev > (1+eps) cur
         p, q = rate.numerator, rate.denominator
-        table, offset, through, holders, mine = _unit_table(ev, choices, loads)
+        share = ev.share + [0]
+        table, offset, through, held = _unit_table(ev, choices, loads, share)
         select = partial(_max_row_gain, table, offset, choices, p, q)
         move = partial(
-            _move_unit, ev, choices, loads, table, through, holders, mine,
-            ev.share + [0],
+            _move_unit, ev, choices, loads, table, offset, through, held, share
         )
     else:
         select = partial(
@@ -229,58 +232,60 @@ def _move(ev: Evaluator, choices, loads, agent: int, new_choice: int) -> None:
         loads[j] += w
 
 
-def _unit_table(ev: Evaluator, choices, loads):
+def _unit_table(ev: Evaluator, choices, loads, share):
     """The epsilon run's flat table and its index, for unit weights.
 
-    Returns ``(table, offset, through, holders, mine)``: agent i's row is
+    Returns ``(table, offset, through, held)``: agent i's row is
     ``table[offset[i]:offset[i + 1]]``, its entry at s the agent's scaled
     utility at s with the others fixed; ``through[j]`` holds the flat
-    index of every strategy through node j, ``holders[j]`` the agents
-    whose current strategy holds j, and ``mine[i][j]`` agent i's flat
-    indices through j.  `loads` is lowered by each agent's own load while
-    its row is scored, and restored."""
-    values, share = ev.values, ev.share
+    index of every strategy through node j, ascending, and ``held[j]``
+    those of the strategies through j of the agents whose current
+    strategy holds j.  An entry is the sum over its nodes of ``on[j] =
+    v_j * share[L_j]`` where the agent holds j and ``off[j] = v_j *
+    share[L_j + 1]`` where it does not; `share` is ``ev.share`` with one
+    trailing 0, as `_move_unit` reads it."""
+    sets = ev.space_sets
+    on = [v * share[c] for v, c in zip(ev.values, loads)]
+    off = [v * share[c + 1] for v, c in zip(ev.values, loads)]
     table = []
     offset = [0]
     through = [[] for _ in range(ev.num_nodes)]
-    holders = [set() for _ in range(ev.num_nodes)]
-    mine = []
+    held = [[] for _ in range(ev.num_nodes)]
     for i, space in enumerate(ev.spaces):
-        current = space[choices[i]]
-        for j in current:
-            holders[j].add(i)
-            loads[j] -= 1
-        own = {}
+        current = sets[i][choices[i]]
         for nodes in space:
             k = len(table)
             u = 0
             for j in nodes:
-                u += values[j] * share[loads[j] + 1]
-                own.setdefault(j, []).append(k)
+                through[j].append(k)
+                if j in current:
+                    u += on[j]
+                    held[j].append(k)
+                else:
+                    u += off[j]
             table.append(u)
-        for j in current:
-            loads[j] += 1
-        for j, ks in own.items():
-            through[j] += ks
         offset.append(len(table))
-        mine.append(own)
-    return table, offset, through, holders, mine
+    return table, offset, through, held
 
 
 def _move_unit(
-    ev: Evaluator, choices, loads, table, through, holders, mine, share,
+    ev: Evaluator, choices, loads, table, offset, through, held, share,
     agent: int, new_choice: int,
 ) -> None:
     """Move a unit-weight agent, keeping every entry of `table` exact.
 
     At a node whose load goes from c to c', an agent off the node gains
     `off` at each strategy through it, a holder `on`, and the mover
-    nothing.  `share` is ``ev.share`` with one trailing 0, so `off` can be
-    formed even at a node every potential attractor is on; no agent is off
-    such a node, so the corrections cancel it."""
+    nothing.  The mover's own indices through the node are the slice of
+    ``through[j]`` inside its row; they leave ``held[j]`` before the
+    holders' fix, or join it after.  They stand together in ``held[j]``,
+    as every agent's indices enter and leave it together.  `share` is
+    ``ev.share`` with one trailing 0, so `off` can be formed even at a
+    node every potential attractor is on; no agent is off such a node, so
+    the corrections cancel it."""
     sets, values = ev.space_sets, ev.values
     old_nodes = sets[agent][choices[agent]]
-    own = mine[agent]
+    row, end = offset[agent], offset[agent + 1]
     for j in old_nodes ^ sets[agent][new_choice]:
         c = loads[j]
         leaves = j in old_nodes
@@ -289,17 +294,20 @@ def _move_unit(
         v = values[j]
         off = v * (share[after + 1] - share[c + 1])
         fix = v * (share[after] - share[c]) - off
-        for k in through[j]:
+        ks = through[j]
+        for k in ks:
             table[k] += off
-        held = holders[j]
+        lo = bisect_left(ks, row)
+        own = ks[lo : bisect_left(ks, end, lo)]
+        holding = held[j]
         if leaves:
-            held.discard(agent)
-        for h in held:
-            for k in mine[h][j]:
-                table[k] += fix
+            at = holding.index(own[0])
+            del holding[at : at + len(own)]
+        for k in holding:
+            table[k] += fix
         if not leaves:
-            held.add(agent)
-        for k in own[j]:
+            holding += own
+        for k in own:
             table[k] -= off
     choices[agent] = new_choice
 

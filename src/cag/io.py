@@ -7,12 +7,14 @@ grow with the instance, come from one text writer, `_instance_text`: it
 encodes each id once and writes the layout of ``json.dumps(..., indent=2)``
 as literal separators (``json.dumps`` with ``indent`` runs json's
 pure-Python encoder), and the tests keep ``json.dumps`` as its oracle.
-Equilibrium reports come from literal text too, through the same `_array`
-and `_scalar`, with the same oracle; SPE results and traces stay on
-``json.dumps``.  Loaders read parsed JSON only through `_field`,
-`_id`, `_list`, `_int`, `_one_of` and `parse_rational`, none of which
-coerces a value, so a malformed file raises one ValueError naming the entry
-and the field; a duplicate id also names its line (best effort on
+Equilibrium reports and the step lines of traces come from literal text
+too, through the same `_scalar` (and `_array`), with the same oracle; SPE
+results and a trace's summary line stay on ``json.dumps``.  `rational_str`
+writes every ``"p/q"``; a rational too long for integer text is refused with
+a BudgetError that names its size.  Loaders read parsed JSON only through
+`_field`, `_id`, `_list`, `_int`, `_one_of` and `parse_rational`, none of
+which coerces a value, so a malformed file raises one ValueError naming the
+entry and the field; a duplicate id also names its line (best effort on
 pretty-printed files).  The loaders of gadget inputs check only the JSON
 shape: `CutGraph`, `ThreeDMInstance` and `TqbfFormula` check their own
 numbers.  Any other exception from a loader is a bug.
@@ -28,7 +30,7 @@ from fractions import Fraction
 from .dynamics import DynamicsStep, DynamicsTrace
 from .equilibria import EquilibriumReport
 from .gadgets import CutGraph, ReductionOutput, ThreeDMInstance, TqbfFormula
-from .model import Agent, Instance, Node, StrategyProfile, is_int
+from .model import Agent, BudgetError, Instance, Node, StrategyProfile, is_int
 from .sequential import SequentialGame, SpeOutcome, SpeResult
 
 __all__ = [
@@ -57,8 +59,30 @@ __all__ = [
 
 
 def rational_str(value: Fraction | int) -> str:
+    """``"p/q"`` text of `value`.  Raises BudgetError, naming the digit
+    count and the limit, when p or q has more digits than `int()` writes
+    (`sys.get_int_max_str_digits()`)."""
     value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:  # p or q past the digit limit, in Python's words
+        limit = sys.get_int_max_str_digits()
+        what = "numerator" if abs(value.numerator) >= 10**limit else "denominator"
+        digits = _digits(getattr(value, what), limit)
+        raise BudgetError(
+            f"answer-too-large: a rational's {what} has {digits} digits, over "
+            f"the limit of {limit} on integer text"
+        ) from None
+
+
+def _digits(n: int, limit: int) -> int:
+    """The number of decimal digits of `n`, counted `limit` digits at a
+    time so that no text written is past the limit."""
+    n, digits, step = abs(n), 0, 10**limit
+    while n >= step:
+        n //= step
+        digits += limit
+    return digits + len(str(n))
 
 
 # number text: ASCII digits, an optional leading "-" and an optional "/digits"
@@ -409,20 +433,14 @@ def loads_spe_result(text: str) -> SpeResult:
 
 
 def dumps_trace(trace: DynamicsTrace) -> str:
-    """Line-delimited records: one per step, then a summary line."""
-    lines = []
-    for k, step in enumerate(trace.steps, 1):
-        lines.append(
-            json.dumps(
-                {
-                    "step": k,
-                    "agent": step.agent,
-                    "from": step.old,
-                    "to": step.new,
-                    "gain": rational_str(step.gain),
-                }
-            )
-        )
+    """Line-delimited records: one per step, then a summary line.  Each
+    step line is `json.dumps` of its record written as literal text, like
+    `dumps_report`; a gain's ``"p/q"`` text needs no escaping."""
+    lines = [
+        f'{{"step": {k}, "agent": {_scalar(step.agent)}, "from": {_scalar(step.old)}, '
+        f'"to": {_scalar(step.new)}, "gain": "{rational_str(step.gain)}"}}'
+        for k, step in enumerate(trace.steps, 1)
+    ]
     lines.append(
         json.dumps(
             {

@@ -348,17 +348,18 @@ def test_epsilon_table_stays_exact_under_any_move(game, moves):
     """Every entry of the epsilon run's table equals a fresh
     `deviation_scaled` score after each move, improving or not: an entry
     that is wrong but never a row's maximum would leave every trace
-    intact."""
+    intact.  ``held[j]`` holds exactly the flat indices through j of the
+    strategies of j's current holders."""
     inst, start = game
     ev = Evaluator(inst)
     choices = list(start.choices)
     loads = ev.loads(choices)
-    table, offset, through, holders, mine = _unit_table(ev, choices, loads)
     share = ev.share + [0]
+    table, offset, through, held = _unit_table(ev, choices, loads, share)
     for agent, strategy in moves:
         agent %= inst.num_agents
         strategy %= len(ev.spaces[agent])
-        _move_unit(ev, choices, loads, table, through, holders, mine, share,
+        _move_unit(ev, choices, loads, table, offset, through, held, share,
                    agent, strategy)
         assert loads == ev.loads(choices)
         for i in range(inst.num_agents):
@@ -367,6 +368,14 @@ def test_epsilon_table_stays_exact_under_any_move(game, moves):
                 ev.deviation_scaled(choices, loads, i, s)
                 for s in range(len(ev.spaces[i]))
             ], (agent, i)
+        for j in range(inst.num_nodes):
+            assert sorted(held[j]) == [
+                offset[i] + s
+                for i, space in enumerate(ev.spaces)
+                if j in space[choices[i]]
+                for s, nodes in enumerate(space)
+                if j in nodes
+            ], (agent, j)
 
 
 def test_dynamics_leave_no_cyclic_garbage():

@@ -32,6 +32,7 @@ from cag import (
 )
 from cag import cli, io, model
 from cag.cli import run_cli
+from cag.dynamics import DynamicsStep, DynamicsTrace
 from cag.equilibria import EquilibriumReport
 
 from conftest import instances, instances_with_profiles, src_env
@@ -126,6 +127,31 @@ def test_parse_rational_refuses_text_past_the_digit_limit(text, part):
     )
     # exactly the limit is still number text
     assert io.parse_rational("-" + "1" * _LIMIT) == -int("1" * _LIMIT)
+
+
+@pytest.mark.parametrize(
+    "value, part, digits",
+    [
+        (Fraction(10**_LIMIT, 7), "numerator", _LIMIT + 1),
+        (Fraction(-(10 ** (2 * _LIMIT + 5)), 3), "numerator", 2 * _LIMIT + 6),
+        (Fraction(1, _LARGEST + 2), "denominator", _LIMIT + 1),
+        (Fraction(10**_LIMIT + 1, _LARGEST + 3), "numerator", _LIMIT + 1),
+    ],
+    ids=["numerator", "negative-twice-the-limit", "denominator", "both"],
+)
+def test_rational_str_refuses_text_past_the_digit_limit(value, part, digits):
+    """An answer too long to write is refused in one line naming its size
+    and the limit, as an answer's size, not an input error."""
+    with pytest.raises(model.BudgetError) as refusal:
+        io.rational_str(value)
+    assert str(refusal.value) == (
+        f"answer-too-large: a rational's {part} has {digits} digits, over the "
+        f"limit of {_LIMIT} on integer text"
+    )
+    # exactly the limit is still written
+    assert io.rational_str(Fraction(-_LARGEST, _LARGEST - 1)) == (
+        f"-{_LARGEST}/{_LARGEST - 1}"
+    )
 
 
 @pytest.mark.parametrize(
@@ -313,6 +339,40 @@ def test_report_writer_matches_json_dumps(pne, welfare, opt, poa, scanned):
         "profile-count-scanned": scanned,
     }
     assert io.dumps_report(report) == json.dumps(fields, indent=2) + "\n"
+
+
+_index = st.integers(0, 10**6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(_index, _index, _index,
+                  st.fractions(min_value=Fraction(1, 2**70), max_value=2**70)
+                  .filter(lambda f: f > 0)),
+        max_size=50,
+    ),
+    st.lists(_index, max_size=4),
+    st.lists(_index, max_size=4),
+    st.sampled_from(["converged", "step-limit"]),
+)
+@example([(12, 345, 6789, Fraction(2**65 + 1, 2**66 + 1))], [0], [1], "converged")
+def test_trace_writer_matches_json_dumps(steps, start, final, termination):
+    """Step lines come from literal text; `json.dumps` of each record is
+    the oracle, for no steps, multi-digit agents and choices, and gains
+    whose numerators and denominators pass 2^64."""
+    trace = DynamicsTrace(
+        StrategyProfile(tuple(start)),
+        tuple(DynamicsStep(*step) for step in steps),
+        StrategyProfile(tuple(final)),
+        termination,
+    )
+    records = [
+        {"step": k, "agent": a, "from": old, "to": new, "gain": io.rational_str(g)}
+        for k, (a, old, new, g) in enumerate(steps, 1)
+    ]
+    records.append({"start": start, "final": final, "termination": termination})
+    assert io.dumps_trace(trace) == "".join(json.dumps(r) + "\n" for r in records)
 
 
 def test_report_round_trip(example1_minus_dummy, example1):
@@ -530,6 +590,25 @@ def test_cli_potential(example1_file, tmp_path, capsys):
         ["potential", str(example1_file), "--profile", "0,0,0", "--kind", "log"]
     ) == 0
     assert isinstance(json.loads(capsys.readouterr().out)["value"], float)
+
+
+def test_cli_potential_refuses_an_answer_past_the_digit_limit(tmp_path, capsys):
+    """The Rosenthal potential of 10,000 agents sharing one strategy has a
+    4,346-digit numerator: exit 1 with one worded line, not Python's."""
+    inst = tmp_path / "big.json"
+    argv = ["gen", "--kind", "symmetric", "--seed", "1", "--nodes", "10",
+            "--agents", "10000", "--strategies", "1", "-o", str(inst)]
+    assert run_cli(argv) == 0
+    profile = tmp_path / "zeros.json"
+    profile.write_text(io.dumps_profile(StrategyProfile((0,) * 10000)))
+    argv = ["potential", str(inst), "--profile", str(profile), "--kind", "rosenthal"]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "cag: answer-too-large: a rational's numerator has 4346 digits, over the "
+        f"limit of {_LIMIT} on integer text\n"
+    )
 
 
 def test_cli_dynamics_trace(tmp_path, capsys):

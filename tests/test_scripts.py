@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from cag import BudgetError
 from conftest import ROOT, src_env
 
 SCRIPTS = ["dynamics_convergence.py", "poa_lower_bounds.py", "reduction_sizes.py"]
@@ -49,17 +50,59 @@ def test_dynamics_convergence_rejects_bad_eps(eps):
     assert "argument --eps" in done.stderr
 
 
-@pytest.mark.parametrize("arg", ["--instances=0", "--instances=-1", "--agents=0",
-                                 "--nodes=0", "--nodes=x"])
-def test_dynamics_convergence_rejects_bad_sizes(arg):
+def refused_flag(name: str, arg: str) -> None:
+    """`arg` is refused by argparse: exit 2, its flag named, no output."""
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "dynamics_convergence.py"), arg],
+        [sys.executable, str(ROOT / "scripts" / name), arg],
         env=src_env(), capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 2
     assert "Traceback" not in done.stderr, done.stderr
     assert f"argument {arg.split('=')[0]}" in done.stderr
     assert done.stdout == ""
+
+
+# integer flags take ASCII integer text only: no "_", no spaces, no
+# non-ASCII digits, no denominator
+@pytest.mark.parametrize("arg", ["--instances=0", "--instances=-1", "--agents=0",
+                                 "--nodes=0", "--nodes=x", "--instances=1_0",
+                                 "--agents= 2", "--nodes=\u0663", "--nodes=3/1"])
+def test_dynamics_convergence_rejects_bad_sizes(arg):
+    refused_flag("dynamics_convergence.py", arg)
+
+
+@pytest.mark.parametrize("arg", ["--max-nodes=1_0", "--max-agents=-5",
+                                 "--max-agents=0", "--max-nodes= 4", "--max-nodes=4.0"])
+def test_poa_lower_bounds_rejects_bad_sizes(arg):
+    refused_flag("poa_lower_bounds.py", arg)
+
+
+@pytest.mark.parametrize("arg", ["--max-exponent=-1", "--max-exponent=1_0",
+                                 "--max-exponent=\u0663", "--max-exponent=8/1"])
+def test_reduction_sizes_rejects_bad_sizes(arg):
+    refused_flag("reduction_sizes.py", arg)
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(BudgetError("search-space-too-large: too big"), 1), (ValueError("bad"), 2)],
+)
+def test_scripts_end_a_library_refusal_in_one_line(monkeypatch, capsys, error, code):
+    """A BudgetError (a size limit, such as `reduction_sizes.py
+    --max-exponent 1000` past weight 2^18) or a ValueError from the library
+    ends a script with one stderr line naming it, not a traceback."""
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    monkeypatch.setattr(sys, "argv", ["reduction_sizes.py"])
+    from _common import run
+
+    def main():
+        print("row")
+        raise error
+
+    with pytest.raises(SystemExit) as exited:
+        run(main)
+    assert exited.value.code == code
+    assert capsys.readouterr() == ("row\n", f"reduction_sizes.py: {error}\n")
 
 
 @pytest.mark.parametrize("name", SCRIPTS)
